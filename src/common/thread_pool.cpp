@@ -14,6 +14,11 @@ namespace {
 // detect nested calls and switch from a blocking wait to the help-drain
 // path, which is what makes nesting deadlock-free.
 thread_local const ThreadPool* tl_worker_pool = nullptr;
+
+// Chunks per participating thread. More chunks than threads lets the
+// threads that finish early claim the rest, so one slow or descheduled
+// thread, or a chunk of cheap indices, no longer sets a loop's time.
+constexpr std::size_t kChunksPerThread = 8;
 }  // namespace
 
 // One parallel_for invocation. Chunks are claimed via `next` by any thread
@@ -26,7 +31,6 @@ struct ThreadPool::ParallelJob {
   std::atomic<std::size_t> done{0};
   std::size_t chunks = 0;
   std::size_t count = 0;
-  std::size_t per_chunk = 0;
   const std::function<void(std::size_t)>* fn = nullptr;
   aks::Mutex done_mutex{"pool.job.done"};
   aks::CondVar done_cv;
@@ -41,8 +45,11 @@ struct ThreadPool::ParallelJob {
     for (;;) {
       const std::size_t c = next.fetch_add(1, std::memory_order_relaxed);
       if (c >= chunks) return;
-      const std::size_t begin = c * per_chunk;
-      const std::size_t end = std::min(count, begin + per_chunk);
+      // Chunk sizes differ by at most one index.
+      const std::size_t per_chunk = count / chunks;
+      const std::size_t longer = count % chunks;
+      const std::size_t begin = c * per_chunk + std::min(c, longer);
+      const std::size_t end = begin + per_chunk + (c < longer ? 1 : 0);
       try {
         for (std::size_t i = begin; i < end; ++i) (*fn)(i);
       } catch (...) {
@@ -122,19 +129,18 @@ bool ThreadPool::try_run_one_task() {
 void ThreadPool::parallel_for(std::size_t count,
                               const std::function<void(std::size_t)>& fn) {
   if (count == 0) return;
-  const std::size_t chunks = std::min(count, num_threads());
-  if (chunks <= 1) {
+  const std::size_t threads = std::min(count, num_threads());
+  if (threads <= 1) {
     for (std::size_t i = 0; i < count; ++i) fn(i);
     return;
   }
 
   auto job = std::make_shared<ParallelJob>();
-  job->chunks = chunks;
+  job->chunks = std::min(count, kChunksPerThread * num_threads());
   job->count = count;
-  job->per_chunk = (count + chunks - 1) / chunks;
   job->fn = &fn;
 
-  for (std::size_t h = 1; h < chunks; ++h) {
+  for (std::size_t h = 1; h < threads; ++h) {
     enqueue([job] { job->run_chunks(); });
   }
   // The caller claims chunks too: the loop makes progress even when every
@@ -160,13 +166,16 @@ void ThreadPool::parallel_for(std::size_t count,
       while (!job->finished()) job->done_cv.wait(lock);
     }
   }
-  // Snapshot under error_mutex: run_chunks writes `error` under the same
-  // lock, and the final writer may be a helper task whose only
-  // happens-before edge to us is the done counter (see run_chunks).
+  // Take the error under error_mutex: run_chunks writes `error` under the
+  // same lock, and the final writer may be a helper task whose only
+  // happens-before edge to us is the done counter (see run_chunks). Moving
+  // it out leaves the job without a reference, so a helper that wakes
+  // after every chunk was claimed and drops the job last never releases
+  // the exception the caller is still handling.
   std::exception_ptr error;
   {
     aks::MutexLock lock(job->error_mutex);
-    error = job->error;
+    error = std::move(job->error);
   }
   if (error) std::rethrow_exception(error);
 }

@@ -1,6 +1,6 @@
 // Fixed-size thread pool with a blocking, reentrancy-safe parallel_for.
 //
-// Used by the ND-range executor (one task per work-group chunk) and the
+// Used by the ND-range executor (work-groups claimed in chunks) and the
 // benchmark runner. Following the Core Guidelines concurrency rules, tasks
 // must not share mutable state: parallel_for hands each invocation a
 // distinct index range and joins before returning, so lifetimes are simple
@@ -42,6 +42,9 @@ class ThreadPool {
 
   /// Runs fn(i) for every i in [0, count), partitioned into contiguous
   /// chunks claimed dynamically by the workers and the calling thread.
+  /// A loop is cut into up to a fixed small multiple of num_threads()
+  /// chunks, so threads that finish early take over the remaining work;
+  /// at most min(count, num_threads()) - 1 helper tasks are enqueued.
   /// Blocks until all invocations complete. Safe to call from inside a task
   /// running on this pool (see the reentrancy guarantee above). Exceptions
   /// from `fn` are captured and the first one is rethrown.

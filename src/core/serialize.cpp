@@ -66,6 +66,12 @@ void save_selector(const DecisionTreeSelector& selector,
 DecisionTreeSelector load_selector(const std::filesystem::path& path) {
   std::ifstream in(path);
   AKS_CHECK(in.is_open(), "cannot open selector file " << path);
+  // Declared counts are checked against the file size before anything is
+  // allocated for them: every listed number takes at least two bytes (a
+  // digit and a separator).
+  std::error_code size_error;
+  const std::uintmax_t file_bytes = std::filesystem::file_size(path, size_error);
+  AKS_CHECK(!size_error, "cannot size selector file " << path);
 
   std::string line;
   AKS_CHECK(std::getline(in, line) && line == kMagic,
@@ -81,6 +87,9 @@ DecisionTreeSelector load_selector(const std::filesystem::path& path) {
   in >> keyword >> allowed_count;
   AKS_CHECK(in.good() && keyword == "allowed" && allowed_count > 0,
             "malformed allowed line in " << path);
+  AKS_CHECK(allowed_count <= file_bytes / 2,
+            "allowed count " << allowed_count << " exceeds what " << path
+            << " can hold");
   std::vector<std::size_t> allowed(allowed_count);
   for (auto& c : allowed) {
     in >> c;
@@ -91,6 +100,10 @@ DecisionTreeSelector load_selector(const std::filesystem::path& path) {
   in >> keyword >> node_count;
   AKS_CHECK(in.good() && keyword == "nodes" && node_count > 0,
             "malformed nodes line in " << path);
+  // A node line holds six fields and one value per allowed config.
+  AKS_CHECK(node_count <= file_bytes / (2 * (6 + allowed_count)),
+            "node count " << node_count << " exceeds what " << path
+            << " can hold");
 
   std::vector<ml::TreeNode> nodes(node_count);
   for (auto& node : nodes) {
@@ -99,6 +112,9 @@ DecisionTreeSelector load_selector(const std::filesystem::path& path) {
     in >> node.feature >> threshold_text >> node.left >> node.right >>
         node.n_samples >> value_count;
     AKS_CHECK(in.good(), "truncated node in " << path);
+    AKS_CHECK(value_count == allowed_count,
+              "node has " << value_count << " values, expected "
+              << allowed_count << " in " << path);
     node.threshold = parse_hex_double(threshold_text);
     node.value.resize(value_count);
     for (auto& v : node.value) {

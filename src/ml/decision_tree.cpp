@@ -349,7 +349,8 @@ DecisionTreeClassifier DecisionTreeClassifier::from_nodes(
   AKS_CHECK(!nodes.empty(), "from_nodes: empty node list");
   AKS_CHECK(num_classes >= 1, "from_nodes: need at least one class");
   AKS_CHECK(num_features >= 1, "from_nodes: need at least one feature");
-  for (const auto& node : nodes) {
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    const auto& node = nodes[i];
     if (node.is_leaf()) {
       AKS_CHECK(node.value.size() == static_cast<std::size_t>(num_classes),
                 "from_nodes: leaf value has " << node.value.size()
@@ -358,10 +359,16 @@ DecisionTreeClassifier DecisionTreeClassifier::from_nodes(
       AKS_CHECK(node.feature >= 0 &&
                     static_cast<std::size_t>(node.feature) < num_features,
                 "from_nodes: split feature out of range");
-      AKS_CHECK(node.left > 0 && node.right > 0 &&
-                    static_cast<std::size_t>(node.left) < nodes.size() &&
-                    static_cast<std::size_t>(node.right) < nodes.size(),
-                "from_nodes: child index out of range");
+      // Children come after their parent, as the grower appends them, so
+      // every descent reaches a leaf: a cycle cannot be expressed.
+      const auto follows = [&](int child) {
+        return child > 0 && static_cast<std::size_t>(child) > i &&
+               static_cast<std::size_t>(child) < nodes.size();
+      };
+      AKS_CHECK(follows(node.left) && follows(node.right),
+                "from_nodes: node " << i << " has children " << node.left
+                << "/" << node.right << "; each must be in (" << i << ", "
+                << nodes.size() << ")");
     }
   }
   DecisionTreeClassifier tree;

@@ -87,8 +87,9 @@ class DecisionTreeClassifier {
   explicit DecisionTreeClassifier(TreeOptions options = {});
 
   /// Reconstructs a fitted classifier from serialised nodes (used by
-  /// core/serialize). Validates the node graph: child indices in range,
-  /// every leaf value has num_classes entries.
+  /// core/serialize). Validates the node graph: every child index lies
+  /// after its parent's and in range, every leaf value has num_classes
+  /// entries.
   static DecisionTreeClassifier from_nodes(std::vector<TreeNode> nodes,
                                            int num_classes,
                                            std::size_t num_features);

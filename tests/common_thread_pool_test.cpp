@@ -16,6 +16,7 @@
 #include <future>
 #include <iostream>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -40,11 +41,39 @@ void with_watchdog(const std::function<void()>& body,
 
 TEST(ThreadPool, EveryIndexExecutedExactlyOnce) {
   common::ThreadPool pool(4);
-  std::vector<std::atomic<int>> counts(1000);
-  pool.parallel_for(1000, [&](std::size_t i) {
-    counts[i].fetch_add(1, std::memory_order_relaxed);
-  });
-  for (const auto& c : counts) EXPECT_EQ(c.load(), 1);
+  // One index; fewer than the threads; one past the thread count; one past
+  // 32 chunks (8 per thread); more than 32 but not a multiple of it; many.
+  for (const std::size_t count : {1u, 3u, 5u, 33u, 67u, 1000u}) {
+    std::vector<std::atomic<int>> counts(count);
+    pool.parallel_for(count, [&](std::size_t i) {
+      counts[i].fetch_add(1, std::memory_order_relaxed);
+    });
+    for (std::size_t i = 0; i < count; ++i) {
+      EXPECT_EQ(counts[i].load(), 1) << "count " << count << " index " << i;
+    }
+  }
+}
+
+// A loop is cut into more chunks than threads, so an index that stalls its
+// thread cannot hold back indices that would otherwise share its chunk.
+// With one chunk per thread, index 1 shared index 0's chunk and this hung.
+TEST(ThreadPool, StalledIndexDoesNotHoldBackItsNeighbours) {
+  with_watchdog(
+      [] {
+        common::ThreadPool pool(4);
+        std::atomic<std::size_t> others{0};
+        pool.parallel_for(8, [&](std::size_t i) {
+          if (i != 0) {
+            others.fetch_add(1, std::memory_order_acq_rel);
+            return;
+          }
+          while (others.load(std::memory_order_acquire) < 7) {
+            std::this_thread::yield();
+          }
+        });
+        EXPECT_EQ(others.load(), 7u);
+      },
+      std::chrono::seconds(30));
 }
 
 TEST(ThreadPool, MainThreadIsNotAWorker) {

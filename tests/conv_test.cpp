@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "conv/direct.hpp"
 #include "conv/im2col.hpp"
 #include "conv/winograd.hpp"
@@ -222,7 +225,9 @@ INSTANTIATE_TEST_SUITE_P(
         Im2colCase{conv_case(1, 7, 4, 6, 3, 1, 1), {1, 4, 8, 8, 16}},  // odd
         Im2colCase{conv_case(2, 10, 6, 5, 3, 1, 0), {4, 4, 4, 8, 8}},  // no pad
         Im2colCase{conv_case(1, 13, 2, 9, 3, 1, 1), {8, 1, 2, 16, 8}},
-        Im2colCase{conv_case(2, 6, 8, 8, 3, 1, 1), {2, 8, 4, 1, 64}}),
+        Im2colCase{conv_case(2, 6, 8, 8, 3, 1, 1), {2, 8, 4, 1, 64}},
+        // More channels than one transform work-group holds.
+        Im2colCase{conv_case(1, 9, 130, 70, 3, 1, 1), {4, 4, 4, 8, 8}}),
     [](const auto& param_info) {
       return "case" + std::to_string(param_info.index);
     });
@@ -257,7 +262,9 @@ INSTANTIATE_TEST_SUITE_P(
         Im2colCase{conv_case(1, 9, 4, 6, 3, 1, 1), {1, 4, 8, 8, 16}},   // odd
         Im2colCase{conv_case(2, 14, 6, 5, 3, 1, 0), {4, 4, 4, 8, 8}},   // no pad
         Im2colCase{conv_case(1, 7, 2, 9, 3, 1, 1), {8, 1, 2, 16, 8}},   // tail
-        Im2colCase{conv_case(2, 8, 8, 8, 3, 1, 1), {2, 8, 4, 1, 64}}),
+        Im2colCase{conv_case(2, 8, 8, 8, 3, 1, 1), {2, 8, 4, 1, 64}},
+        // More channels than one transform work-group holds.
+        Im2colCase{conv_case(1, 10, 70, 130, 3, 1, 1), {4, 4, 4, 8, 8}}),
     [](const auto& param_info) {
       return "case" + std::to_string(param_info.index);
     });
@@ -295,6 +302,112 @@ TEST(Winograd, FlopReductionVsIm2col) {
   const double wino_flops = 16.0 * wino.flops();
   EXPECT_LT(wino_flops, direct_flops);
   EXPECT_NEAR(direct_flops / wino_flops, 2.25, 0.05);
+}
+
+// --- Bit identity across execution modes ------------------------------------
+// Every lowering's output must not depend on how its kernels are dispatched:
+// the default queue (global pool), a queue over a one-worker pool, and a
+// deterministic-replay queue must agree bit for bit.
+
+enum class Lowering { kIm2col, kWinograd2, kWinograd4 };
+
+std::vector<float> run_lowering(Lowering lowering, syclrt::Queue& queue,
+                                const ConvShape& shape, std::uint64_t seed) {
+  common::Rng rng(seed);
+  std::vector<float> input(shape.input_size());
+  std::vector<float> filter(shape.filter_size());
+  for (auto& v : input) v = static_cast<float>(rng.uniform(-1, 1));
+  for (auto& v : filter) v = static_cast<float>(rng.uniform(-1, 1));
+  std::vector<float> output(shape.output_size(),
+                            std::numeric_limits<float>::quiet_NaN());
+  const gemm::KernelConfig config{4, 4, 4, 8, 8};
+  switch (lowering) {
+    case Lowering::kIm2col:
+      im2col_conv2d(queue, config, input, filter, output, shape);
+      break;
+    case Lowering::kWinograd2:
+      winograd_conv2d(queue, config, input, filter, output, shape);
+      break;
+    case Lowering::kWinograd4:
+      winograd4_conv2d(queue, config, input, filter, output, shape);
+      break;
+  }
+  return output;
+}
+
+/// FNV-1a over the bit patterns of the values.
+std::uint64_t digest(const std::vector<float>& values) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const float v : values) {
+    std::uint32_t bits = 0;
+    std::memcpy(&bits, &v, sizeof bits);
+    h = (h ^ bits) * 0x100000001b3ULL;
+  }
+  return h;
+}
+
+constexpr Lowering kLowerings[] = {Lowering::kIm2col, Lowering::kWinograd2,
+                                   Lowering::kWinograd4};
+
+TEST(ConvBitIdentity, SameBitsOnEveryQueue) {
+  // Shapes that split unevenly: batch 2, odd sizes, no padding, channel
+  // counts off multiples of 4 and of a work-group, and a deep layer.
+  const ConvShape shapes[] = {
+      conv_case(2, 11, 5, 7, 3, 1, 1),   conv_case(1, 13, 6, 10, 3, 1, 0),
+      conv_case(2, 9, 70, 66, 3, 1, 1),  conv_case(1, 14, 512, 512, 3, 1, 1)};
+  common::ThreadPool one_worker(1);
+  for (const auto& shape : shapes) {
+    for (const Lowering lowering : kLowerings) {
+      SCOPED_TRACE("lowering " + std::to_string(static_cast<int>(lowering)) +
+                   ", in_c " + std::to_string(shape.in_channels));
+      syclrt::Queue pooled;
+      syclrt::Queue serial(syclrt::Device::host(), &one_worker);
+      syclrt::Queue replay;
+      replay.set_deterministic_replay(true);
+      const auto expected = run_lowering(lowering, pooled, shape, 29);
+      for (syclrt::Queue* queue : {&serial, &replay}) {
+        const auto actual = run_lowering(lowering, *queue, shape, 29);
+        ASSERT_EQ(actual.size(), expected.size());
+        EXPECT_EQ(std::memcmp(actual.data(), expected.data(),
+                              expected.size() * sizeof(float)),
+                  0);
+      }
+    }
+  }
+}
+
+TEST(ConvBitIdentity, PinnedDigests) {
+#if !defined(__x86_64__)
+  GTEST_SKIP() << "digests were recorded with x86-64 SSE arithmetic; other "
+                  "targets may contract multiply-adds";
+#endif
+  // Recorded with the serial transforms the kernels replaced; any change to
+  // the arithmetic of a lowering shows here.
+  struct Pin {
+    ConvShape shape;
+    std::uint64_t seed;
+    std::uint64_t digests[3];  // im2col, F(2x2), F(4x4)
+  };
+  const Pin pins[] = {
+      {conv_case(2, 11, 5, 7, 3, 1, 1),
+       101,
+       {0x841c6f7db04a546aULL, 0xcb072d22b1f02f1aULL, 0x5462fe03535e07c5ULL}},
+      {conv_case(1, 13, 6, 10, 3, 1, 0),
+       202,
+       {0xa9d7146894a69527ULL, 0x557de9e5f1f13ed9ULL, 0x137f6b5744850714ULL}},
+      {conv_case(2, 9, 70, 66, 3, 1, 1),
+       303,
+       {0xe5724ea14f2fa082ULL, 0x1e8806c006bd1b84ULL, 0x9dc2ab5972ee3de3ULL}},
+  };
+  syclrt::Queue queue;
+  for (const auto& pin : pins) {
+    for (std::size_t l = 0; l < 3; ++l) {
+      const auto output = run_lowering(kLowerings[l], queue, pin.shape, pin.seed);
+      EXPECT_EQ(digest(output), pin.digests[l])
+          << "seed " << pin.seed << " lowering " << l << std::hex
+          << " digest 0x" << digest(output);
+    }
+  }
 }
 
 }  // namespace

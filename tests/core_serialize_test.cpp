@@ -2,6 +2,8 @@
 
 #include <filesystem>
 #include <fstream>
+#include <string>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -146,6 +148,36 @@ TEST_F(SerializeTest, CorruptChildIndexRejected) {
   std::ofstream(path) << rewritten.str();
   EXPECT_THROW((void)load_selector(path), common::Error);
   std::filesystem::remove(path);
+}
+
+// Crafted files that used to hang or abort the loader's caller: a split
+// node naming itself as its child (descent looped forever), and counts so
+// large that allocating for them threw std::bad_alloc.
+TEST(SelectorFileHardening, CraftedFilesThrowError) {
+  const std::string header =
+      "aks-tree-selector v1\nfeatures 3\nallowed 2 5 9\n";
+  const std::pair<std::string, std::string> files[] = {
+      {"self_loop.txt", header +
+                            "nodes 3\n"
+                            "0 0x1p+7 1 2 10 2 0x1p+2 0x1.8p+2\n"
+                            "0 0x1p+6 1 2 6 2 0x1p+1 0x1p+2\n"
+                            "-1 0x0p+0 -1 -1 4 2 0x1p+1 0x1p+1\n"},
+      {"huge_node_count.txt", header +
+                                  "nodes 1000000000000000\n"
+                                  "-1 0x0p+0 -1 -1 4 2 0x1p+1 0x1p+1\n"},
+      {"huge_value_count.txt", header +
+                                   "nodes 1\n"
+                                   "-1 0x0p+0 -1 -1 4 1000000000000000 "
+                                   "0x1p+1 0x1p+1\n"},
+      {"huge_allowed_count.txt",
+       "aks-tree-selector v1\nfeatures 3\nallowed 1000000000000000 5\n"},
+  };
+  for (const auto& [name, content] : files) {
+    const auto path = temp_path(name);
+    std::ofstream(path) << content;
+    EXPECT_THROW((void)load_selector(path), common::Error) << name;
+    std::filesystem::remove(path);
+  }
 }
 
 }  // namespace
