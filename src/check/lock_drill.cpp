@@ -110,8 +110,8 @@ lockdep::Report run_lock_drill(const LockDrillOptions& options) {
   }
 
   // Second generation: re-open the store (journal replay) and warm-start a
-  // fresh service from it, so the preseed path — tuner.state acquired under
-  // the shard lock — and the warm hit path both join the graph.
+  // fresh service from it, so the pre-seed path (shard locks only) and the
+  // warm hit path both join the graph.
   {
     store::SelectionStore store(journal);
     select::OnlineTuner tuner(candidates, timer);

@@ -36,22 +36,14 @@ OnlineTuner::OnlineTuner(std::vector<std::size_t> candidates, TimerFn timer,
   }
 }
 
-gemm::KernelConfig OnlineTuner::select(const gemm::GemmShape& shape) {
-  {
-    aks::ReaderMutexLock lock(mutex_);
-    const auto it = cache_.find(shape);
-    if (it != cache_.end()) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      return gemm::enumerate_configs()[it->second];
-    }
-  }
-  misses_.fetch_add(1, std::memory_order_relaxed);
+gemm::KernelConfig OnlineTuner::sweep(const gemm::GemmShape& shape) {
+  sweeps_.fetch_add(1, std::memory_order_relaxed);
 
   // Snapshot quarantine state so the sweep runs unlocked; position 0 (the
   // fallback) is eligible by construction.
   std::vector<bool> eligible(candidates_.size(), true);
   {
-    aks::ReaderMutexLock lock(mutex_);
+    aks::MutexLock lock(mutex_);
     for (std::size_t i = 1; i < health_.size(); ++i) {
       eligible[i] = !health_[i].quarantined;
     }
@@ -137,15 +129,15 @@ gemm::KernelConfig OnlineTuner::select(const gemm::GemmShape& shape) {
   sweep_span.annotate(trace::arg("winner", best));
   if (!any_valid) {
     // Whole sweep failed: serve the guaranteed fallback instead of
-    // throwing. The result is still cached — single-flight layers above
-    // would cache it anyway, and a fully-dead sweep for a shape is a plan
-    // property, so retrying per-request would only re-pay the sweep.
+    // throwing. Returning (not throwing) lets the serving layer cache it —
+    // a fully-dead sweep for a shape is a plan property, so retrying
+    // per-request would only re-pay the sweep.
     degraded_selects_.fetch_add(1, std::memory_order_relaxed);
     sweep_span.annotate(trace::arg("outcome", "degraded"));
   }
 
-  aks::WriterMutexLock lock(mutex_);
   if (options_.quarantine_threshold > 0) {
+    aks::MutexLock lock(mutex_);
     for (std::size_t i = 1; i < candidates_.size(); ++i) {
       if (!eligible[i]) continue;
       auto& health = health_[i];
@@ -160,39 +152,15 @@ gemm::KernelConfig OnlineTuner::select(const gemm::GemmShape& shape) {
       }
     }
   }
-  // First finished sweep wins; racing losers adopt its answer so every
-  // caller observes the same winner for a shape.
-  const auto [it, inserted] = cache_.emplace(shape, best);
-  return gemm::enumerate_configs()[it->second];
-}
-
-bool OnlineTuner::preseed(const gemm::GemmShape& shape,
-                          std::size_t canonical_index) {
-  if (std::find(candidates_.begin(), candidates_.end(), canonical_index) ==
-      candidates_.end()) {
-    return false;
-  }
-  aks::WriterMutexLock lock(mutex_);
-  return cache_.emplace(shape, canonical_index).second;
-}
-
-std::vector<std::pair<gemm::GemmShape, std::size_t>> OnlineTuner::snapshot()
-    const {
-  aks::ReaderMutexLock lock(mutex_);
-  return {cache_.begin(), cache_.end()};
+  return gemm::enumerate_configs()[best];
 }
 
 gemm::KernelConfig OnlineTuner::fallback_config() const {
   return gemm::enumerate_configs()[candidates_.front()];
 }
 
-std::size_t OnlineTuner::cached_shapes() const {
-  aks::ReaderMutexLock lock(mutex_);
-  return cache_.size();
-}
-
 std::vector<std::size_t> OnlineTuner::quarantined() const {
-  aks::ReaderMutexLock lock(mutex_);
+  aks::MutexLock lock(mutex_);
   std::vector<std::size_t> out;
   for (std::size_t i = 0; i < candidates_.size(); ++i) {
     if (health_[i].quarantined) out.push_back(candidates_[i]);
@@ -202,7 +170,7 @@ std::vector<std::size_t> OnlineTuner::quarantined() const {
 }
 
 bool OnlineTuner::is_quarantined(std::size_t canonical_index) const {
-  aks::ReaderMutexLock lock(mutex_);
+  aks::MutexLock lock(mutex_);
   for (std::size_t i = 0; i < candidates_.size(); ++i) {
     if (candidates_[i] == canonical_index) return health_[i].quarantined;
   }

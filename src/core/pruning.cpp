@@ -229,19 +229,6 @@ std::vector<std::size_t> CertifiedPruner::prune(
   return prune_with_mask(*inner_, safe_, train, max_configs);
 }
 
-std::vector<std::size_t> drop_quarantined(
-    const std::vector<std::size_t>& candidates,
-    const std::vector<std::size_t>& quarantined) {
-  const std::set<std::size_t> bad(quarantined.begin(), quarantined.end());
-  std::vector<std::size_t> out;
-  out.reserve(candidates.size());
-  for (const std::size_t c : candidates) {
-    if (bad.count(c) == 0) out.push_back(c);
-  }
-  if (out.empty() && !candidates.empty()) out.push_back(candidates.front());
-  return out;
-}
-
 std::vector<std::unique_ptr<ConfigPruner>> all_pruners(std::uint64_t seed) {
   std::vector<std::unique_ptr<ConfigPruner>> pruners;
   pruners.push_back(std::make_unique<TopNPruner>());

@@ -153,15 +153,6 @@ class CertifiedPruner final : public ConfigPruner {
   std::vector<bool> safe_;
 };
 
-/// Removes quarantined canonical indices (e.g. OnlineTuner::quarantined())
-/// from a pruned candidate list, preserving order. A shipped config set must
-/// never go empty — when quarantine would drop everything, the first
-/// original candidate is retained so the degradation contract (see DESIGN.md
-/// "Fault model") keeps a guaranteed fallback to serve.
-[[nodiscard]] std::vector<std::size_t> drop_quarantined(
-    const std::vector<std::size_t>& candidates,
-    const std::vector<std::size_t>& quarantined);
-
 /// The paper's five pruning approaches, in Figure 4's order.
 [[nodiscard]] std::vector<std::unique_ptr<ConfigPruner>> all_pruners(
     std::uint64_t seed = 0);

@@ -71,16 +71,18 @@ SelectionService::SelectionService(const select::KernelSelector& selector,
           },
           options) {
   record_source_ = store::Source::kLearnedSelector;
+  shipped_ = selector.allowed();
 }
 
 SelectionService::SelectionService(select::OnlineTuner& tuner,
                                    ServiceOptions options)
     : SelectionService(
           [&tuner](const gemm::GemmShape& shape) {
-            return tuner.select(shape);
+            return tuner.sweep(shape);
           },
           options) {
   tuner_ = &tuner;
+  shipped_ = tuner.candidates();
 }
 
 SelectionService::Shard& SelectionService::shard_for(
@@ -403,6 +405,13 @@ std::size_t SelectionService::warm_start(store::SelectionStore& store,
   std::size_t seeded = 0;
   for (const store::SelectionRecord& record : store.selections()) {
     if (record.device_fingerprint != device_fingerprint_) continue;
+    // A decision for a config this service no longer ships re-tunes on
+    // first request (and the fresh record supersedes it); never resurrect.
+    if (!shipped_.empty() &&
+        std::find(shipped_.begin(), shipped_.end(), record.config_index) ==
+            shipped_.end()) {
+      continue;
+    }
     Shard& shard = shard_for(record.shape);
     aks::MutexLock lock(shard.m);
     auto& slot = shard.map[record.shape];
@@ -413,9 +422,6 @@ std::size_t SelectionService::warm_start(store::SelectionStore& store,
     // provisional so refresh_provisional() still re-tunes it locally.
     slot->provisional = record.source == store::Source::kTransfer;
     slot->ready.store(true, std::memory_order_release);
-    if (!slot->provisional && tuner_ != nullptr) {
-      (void)tuner_->preseed(record.shape, record.config_index);
-    }
     preloaded_.add();
     ++seeded;
   }

@@ -152,9 +152,9 @@ class SelectionService {
   /// been called). Selector inference is read-only, hence shareable.
   explicit SelectionService(const select::KernelSelector& selector,
                             ServiceOptions options = {});
-  /// Serves an online tuner (must outlive the service). Single-flight means
-  /// the tuner sees each shape exactly once, so its own warm-up accounting
-  /// stays exact under concurrency.
+  /// Serves an online tuner (must outlive the service). The tuner sweeps on
+  /// every call; single-flight runs that sweep once per shape, so the
+  /// tuner's sweeps() count stays exact under concurrency.
   explicit SelectionService(select::OnlineTuner& tuner,
                             ServiceOptions options = {});
 
@@ -193,8 +193,9 @@ class SelectionService {
   /// the cache with every stored selection for `device`'s fingerprint —
   /// those shapes are then served with zero warm-up sweeps. Stored
   /// transfer-sourced records pre-seed as *provisional* (still due a local
-  /// re-tune); tuner-sourced records also pre-seed the wrapped OnlineTuner
-  /// so its own cache never re-sweeps them. Shapes absent for this device
+  /// re-tune). A record naming a config the wrapped tuner or selector does
+  /// not ship is skipped: that shape re-tunes on first request, and the
+  /// fresh record supersedes the stale one. Shapes absent for this device
   /// but present for another one are afterwards served via nearest-device
   /// transfer priors on their first request. Newly warmed shapes are
   /// written behind into the store; persisting them is the caller's
@@ -288,9 +289,13 @@ class SelectionService {
   WarmUpFn warm_up_;
   std::optional<gemm::KernelConfig> fallback_;
   common::ThreadPool* async_pool_ = nullptr;
-  /// Set by the OnlineTuner constructor so warm_start() can pre-seed the
-  /// tuner's own cache alongside the service cache.
+  /// Set by the OnlineTuner constructor so store records carry the tuner's
+  /// quarantine count.
   select::OnlineTuner* tuner_ = nullptr;
+  /// Canonical configs the wrapped tuner or selector can answer with;
+  /// warm_start() pre-seeds only records naming one of them. Empty for a
+  /// plain warm-up function, which ships no fixed set.
+  std::vector<std::size_t> shipped_;
   /// Persistence, armed by warm_start(); null means no store attached.
   store::SelectionStore* store_ = nullptr;
   /// Provenance tag for write-behind records (which layer this service

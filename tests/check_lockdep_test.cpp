@@ -242,12 +242,13 @@ TEST(Lockdep, DrillWithTracingStaysClean) {
   options.trace = true;
   const Report report = run_lock_drill(options);
   EXPECT_TRUE(report.clean());
-  // The trace layer participates: session lock ordered before the impl
-  // lock somewhere in the graph.
-  const auto names = edge_names(report);
-  EXPECT_NE(std::find(names.begin(), names.end(),
-                      "trace.session -> trace.impl"),
-            names.end());
+  // The graph is exactly DESIGN.md "Ordering ranks" — every sanctioned
+  // nesting and nothing else — so the document and the code cannot drift.
+  EXPECT_EQ(edge_names(report),
+            (std::vector<std::string>{"store.state -> store.journal",
+                                      "store.state -> trace.impl",
+                                      "store.state -> trace.session",
+                                      "trace.session -> trace.impl"}));
   reset();
 }
 

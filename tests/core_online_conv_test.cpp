@@ -27,7 +27,7 @@ TEST(OnlineTuner, PicksTrueBestCandidateWithoutNoise) {
   const std::vector<std::size_t> candidates = {0, 100, 250, 400, 639};
   OnlineTuner tuner(candidates, model_timer());
   const gemm::GemmShape shape{784, 512, 256};
-  const auto chosen = tuner.select(shape);
+  const auto chosen = tuner.sweep(shape);
 
   // Verify against direct evaluation of the candidates.
   const perf::CostModel model(perf::DeviceSpec::amd_r9_nano());
@@ -44,8 +44,10 @@ TEST(OnlineTuner, PicksTrueBestCandidateWithoutNoise) {
   EXPECT_EQ(chosen, best);
 }
 
-TEST(OnlineTuner, CachesPerShape) {
-  // Exact one-trial-per-candidate accounting only holds fault-free.
+TEST(OnlineTuner, RepeatedSweepRetimesEveryCandidate) {
+  // The tuner has no per-shape memory (SelectionService is the cache), so
+  // sweeping a shape again re-times every candidate. Exact
+  // one-trial-per-candidate accounting only holds fault-free.
   faults::ScopedFaultPlan no_faults{faults::FaultPlan::none()};
   std::size_t timer_calls = 0;
   OnlineTuner tuner({0, 1, 2},
@@ -53,17 +55,13 @@ TEST(OnlineTuner, CachesPerShape) {
                       ++timer_calls;
                       return 1e-3;
                     });
-  const gemm::GemmShape a{64, 64, 64};
-  const gemm::GemmShape b{128, 64, 64};
-  (void)tuner.select(a);
+  const gemm::GemmShape shape{64, 64, 64};
+  const auto first = tuner.sweep(shape);
   EXPECT_EQ(timer_calls, 3u);  // one trial per candidate
-  (void)tuner.select(a);
-  EXPECT_EQ(timer_calls, 3u);  // cache hit
-  (void)tuner.select(b);
-  EXPECT_EQ(timer_calls, 6u);  // new shape -> new trials
-  EXPECT_EQ(tuner.cache_hits(), 1u);
-  EXPECT_EQ(tuner.cache_misses(), 2u);
-  EXPECT_EQ(tuner.cached_shapes(), 2u);
+  const auto second = tuner.sweep(shape);
+  EXPECT_EQ(timer_calls, 6u);  // the repeat re-times all three
+  EXPECT_EQ(first, second);
+  EXPECT_EQ(tuner.sweeps(), 2u);
   EXPECT_NEAR(tuner.trial_seconds(), 6e-3, 1e-12);
 }
 
@@ -79,17 +77,17 @@ TEST(OnlineTuner, AsymptoticallyMatchesOracleOnCandidates) {
   DecisionTreePruner pruner;
   const auto allowed = pruner.prune(split.train, 6);
 
-  // Timer uses the same noisy timing as the dataset so the cached winner
+  // Timer uses the same noisy timing as the dataset so the swept winner
   // matches the dataset's restricted argmax.
   OnlineTuner tuner(allowed, model_timer(0.0));
   for (std::size_t r = 0; r < split.test.num_shapes(); ++r) {
     const auto& shape = split.test.shapes()[r].shape;
-    const auto config = tuner.select(shape);
+    const auto config = tuner.sweep(shape);
     // The chosen candidate must be one of the allowed ones.
     const auto idx = gemm::config_index(config);
     EXPECT_NE(std::find(allowed.begin(), allowed.end(), idx), allowed.end());
   }
-  EXPECT_EQ(tuner.cache_misses(), split.test.num_shapes());
+  EXPECT_EQ(tuner.sweeps(), split.test.num_shapes());
 }
 
 TEST(OnlineTuner, RejectsBadConstruction) {

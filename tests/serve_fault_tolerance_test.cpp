@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "core/online.hpp"
-#include "core/pruning.hpp"
 #include "faults/injector.hpp"
 #include "perfmodel/cost_model.hpp"
 #include "serve/selection_service.hpp"
@@ -89,6 +88,16 @@ TEST(SelectionService, NeverThrowsUnderInjectedWarmUpFailures) {
   EXPECT_EQ(stats.hits + stats.misses + stats.coalesced_waits,
             kThreads * kRepeats * shapes.size())
       << "every request accounted as hit, miss or coalesced wait";
+
+  // The service caches one decision per shape, so every thread saw the
+  // same config for it — even though quarantine can change what a later
+  // sweep of the same shape would pick.
+  for (std::size_t s = 0; s < shapes.size(); ++s) {
+    for (std::size_t t = 1; t < kThreads; ++t) {
+      EXPECT_EQ(winners[t][s], winners[0][s])
+          << "threads disagree on shape " << shapes[s].to_string();
+    }
+  }
 
   // Every answer is a real member of the candidate set, and no quarantined
   // candidate ever won a shape.
@@ -234,7 +243,7 @@ TEST(SelectionService, BatchWaveFaultDegradesOnlyFailingShape) {
 TEST(OnlineTunerConcurrency, QuarantineEngagesAfterConsecutiveFailures) {
   // Candidate trials all fail (rate 1 at the warm-up site): after
   // `quarantine_threshold` sweeps every non-fallback candidate is
-  // quarantined, select() serves the fallback without throwing, and the
+  // quarantined, sweep() serves the fallback without throwing, and the
   // quarantine list excludes the fallback.
   faults::ScopedFaultPlan install(warmup_failure_plan(1.0));
   const std::vector<std::size_t> candidates = {5, 200, 450};
@@ -245,7 +254,7 @@ TEST(OnlineTunerConcurrency, QuarantineEngagesAfterConsecutiveFailures) {
   const auto shapes = test_shapes(5);
   for (const auto& shape : shapes) {
     gemm::KernelConfig config{};
-    EXPECT_NO_THROW(config = tuner.select(shape));
+    EXPECT_NO_THROW(config = tuner.sweep(shape));
     EXPECT_EQ(gemm::config_index(config), candidates.front());
   }
   EXPECT_EQ(tuner.degraded_selects(), shapes.size());
@@ -262,22 +271,12 @@ TEST(OnlineTunerConcurrency, QuarantineRecoversWhenFaultsStop) {
   select::OnlineTuner tuner(candidates, model_timer(), options);
   {
     faults::ScopedFaultPlan install(warmup_failure_plan(1.0));
-    (void)tuner.select({64, 64, 64});
+    (void)tuner.sweep({64, 64, 64});
   }
-  // Plan gone: the next cold shape sweeps cleanly and failure streaks reset.
-  const auto config = tuner.select({96, 96, 96});
+  // Plan gone: the next sweep runs cleanly and failure streaks reset.
+  const auto config = tuner.sweep({96, 96, 96});
   EXPECT_LT(gemm::config_index(config), gemm::enumerate_configs().size());
   EXPECT_TRUE(tuner.quarantined().empty());
-}
-
-TEST(OnlineTunerConcurrency, DropQuarantinedPreservesOrderAndNeverEmpties) {
-  const std::vector<std::size_t> candidates = {3, 7, 11, 15};
-  EXPECT_EQ(select::drop_quarantined(candidates, {7, 15}),
-            (std::vector<std::size_t>{3, 11}));
-  EXPECT_EQ(select::drop_quarantined(candidates, {}), candidates);
-  // Dropping everything keeps the first original as guaranteed fallback.
-  EXPECT_EQ(select::drop_quarantined(candidates, {3, 7, 11, 15}),
-            (std::vector<std::size_t>{3}));
 }
 
 }  // namespace

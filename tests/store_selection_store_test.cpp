@@ -5,12 +5,14 @@
 // immediately then replaced by refresh_provisional().
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <string>
 #include <vector>
 
 #include "common/error.hpp"
 #include "core/online.hpp"
+#include "core/selector.hpp"
 #include "faults/injector.hpp"
 #include "gemm/config.hpp"
 #include "perfmodel/device_spec.hpp"
@@ -316,10 +318,59 @@ TEST(StoreWarmStart, WarmRunServesIdenticalConfigsWithZeroSweeps) {
     EXPECT_EQ(stats.duplicate_sweeps, 0u);
     EXPECT_EQ(stats.preloaded, shapes.size());
     EXPECT_EQ(stats.hits, shapes.size());
-    EXPECT_EQ(timer_calls, 0u);           // no trial ran at all
-    EXPECT_EQ(tuner.cache_misses(), 0u);  // tuner pre-seeded too
-    EXPECT_EQ(store.flush(), 0u);         // nothing new to persist
+    EXPECT_EQ(timer_calls, 0u);    // no trial ran at all
+    EXPECT_EQ(store.flush(), 0u);  // nothing new to persist
   }
+  std::filesystem::remove(path);
+}
+
+// A stored decision naming a config the service no longer ships (a smaller
+// candidate set, a re-pruned selector) is not resurrected: warm_start()
+// skips it, the shape re-tunes on first request, and the fresh record
+// supersedes the stale one.
+TEST(StoreWarmStart, RecordOutsideShippedCandidatesReTunes) {
+  faults::ScopedFaultPlan no_faults{faults::FaultPlan::none()};
+  const auto path = temp_path("unshipped.aks");
+  const auto device = perf::DeviceSpec::amd_r9_nano();
+  const gemm::GemmShape stale{64, 64, 64}, kept{96, 96, 96};
+  {
+    SelectionStore store(path);
+    // Config 5 is in neither kCandidates nor the selector's allowed set.
+    EXPECT_TRUE(store.put(make_record(device.fingerprint(), stale, 5)));
+    EXPECT_TRUE(store.put(make_record(device.fingerprint(), kept, 17)));
+    store.flush();
+  }
+
+  {
+    SelectionStore store(path);
+    select::OnlineTuner tuner(kCandidates, fake_time);
+    serve::SelectionService service(tuner);
+    EXPECT_EQ(service.warm_start(store, device), 1u);
+    EXPECT_EQ(gemm::config_index(service.select(kept)), 17u);
+    const std::size_t served = gemm::config_index(service.select(stale));
+    EXPECT_NE(std::find(kCandidates.begin(), kCandidates.end(), served),
+              kCandidates.end());
+    EXPECT_EQ(service.stats().misses, 1u);
+    EXPECT_EQ(tuner.sweeps(), 1u);
+    const auto record = store.lookup(device.fingerprint(), stale);
+    ASSERT_TRUE(record.has_value());
+    EXPECT_EQ(record->config_index, served);
+    EXPECT_EQ(record->source, Source::kOnlineTuner);
+  }
+
+  // Same rule for a learned selector (the re-tune above was never flushed,
+  // so the journal still names config 5): a one-leaf tree over {17, 120}
+  // that always answers 120 ships 17 but not 5.
+  ml::TreeNode leaf;
+  leaf.value = {0.0, 1.0};
+  leaf.n_samples = 1;
+  const select::DecisionTreeSelector selector(
+      ml::DecisionTreeClassifier::from_nodes({leaf}, 2, 3), {17, 120});
+  SelectionStore store(path);
+  serve::SelectionService service(selector);
+  EXPECT_EQ(service.warm_start(store, device), 1u);
+  EXPECT_EQ(gemm::config_index(service.select(stale)), 120u);
+  EXPECT_EQ(service.stats().misses, 1u);
   std::filesystem::remove(path);
 }
 
