@@ -5,6 +5,7 @@
 
 #include "common/csv.hpp"
 #include "common/error.hpp"
+#include "common/strings.hpp"
 
 namespace aks::check {
 
@@ -38,18 +39,6 @@ Diagnostic LintFinding::to_diagnostic() const {
                      ": " + message};
 }
 
-std::vector<bool> LintReport::valid_mask(std::size_t num_configs,
-                                         const std::string& device) const {
-  std::vector<bool> valid(num_configs, true);
-  for (const auto& finding : findings) {
-    if (!device.empty() && finding.device != device) continue;
-    if (finding.config_index < num_configs) {
-      valid[finding.config_index] = false;
-    }
-  }
-  return valid;
-}
-
 void LintReport::save_csv(const std::filesystem::path& path) const {
   common::CsvTable table;
   table.header = {"config_index", "config", "device", "rule", "message"};
@@ -78,13 +67,17 @@ LintReport LintReport::load_csv(const std::filesystem::path& path) {
   for (const auto& row : table.rows) {
     if (row[rule_col] == "summary") {
       report.configs_checked =
-          static_cast<std::size_t>(std::stoull(row[idx_col]));
+          common::parse_number<std::size_t>(row[idx_col],
+                                            "lint report configs_checked");
       report.devices_checked =
-          static_cast<std::size_t>(std::stoull(row[dev_col]));
+          common::parse_number<std::size_t>(row[dev_col],
+                                            "lint report devices_checked");
       continue;
     }
     LintFinding finding;
-    finding.config_index = static_cast<std::size_t>(std::stoull(row[idx_col]));
+    finding.config_index =
+        common::parse_number<std::size_t>(row[idx_col],
+                                          "lint report config_index");
     finding.config = row[cfg_col];
     finding.device = row[dev_col];
     finding.rule = parse_lint_rule(row[rule_col]);

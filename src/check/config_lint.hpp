@@ -15,9 +15,9 @@
 //                      be covered by, the device's native load vector, or
 //                      the staging loads cannot be emitted as full vectors.
 //
-// The report is machine-readable (CSV round-trip) and collapses to a
-// per-config validity mask that `select::ValidityFilteredPruner` consumes,
-// so invalid (config, device) points never enter a pruned library.
+// The report is machine-readable (CSV round-trip). Invalid (config, device)
+// points never enter a pruned library: the symbolic certificate's capacity
+// rules check the same limits, so `select::CertifiedPruner` drops them.
 #pragma once
 
 #include <filesystem>
@@ -68,11 +68,6 @@ struct LintReport {
   std::vector<LintFinding> findings;
 
   [[nodiscard]] bool clean() const { return findings.empty(); }
-
-  /// Per-config validity over `num_configs` configs: false when the config
-  /// has any finding on `device` (or on any device when `device` is empty).
-  [[nodiscard]] std::vector<bool> valid_mask(
-      std::size_t num_configs, const std::string& device = {}) const;
 
   /// CSV round-trip (config_index,config,device,rule,message).
   void save_csv(const std::filesystem::path& path) const;

@@ -1,8 +1,8 @@
 // Deterministic lock-order validator (lockdep) — the runtime half of the
 // concurrency contract (the compile-time half is common/thread_annotations).
 //
-// Every aks::Mutex / aks::SharedMutex (common/sync.hpp) belongs to a lock
-// *class*, registered once by name ("serve.shard", "store.state", ...);
+// Every aks::Mutex (common/sync.hpp) belongs to a lock *class*,
+// registered once by name ("serve.shard", "store.state", ...);
 // instances of the same class — all shard stripes, all single-flight
 // entries — share one class, so the order graph stays small no matter how
 // many mutexes the serving layer allocates. Each acquisition made while

@@ -7,6 +7,7 @@
 #include "check/config_lint.hpp"
 #include "common/csv.hpp"
 #include "common/error.hpp"
+#include "common/strings.hpp"
 #include "gemm/access_metadata.hpp"
 
 namespace aks::check::symbolic {
@@ -27,13 +28,13 @@ std::string witness_cell(const WitnessShape& witness) {
 }
 
 WitnessShape parse_witness_cell(const std::string& cell) {
-  WitnessShape witness;
-  std::istringstream is(cell);
-  char sep = 'x';
-  is >> witness.m >> sep >> witness.k >> sep >> witness.n >> sep >>
-      witness.batch;
-  AKS_CHECK(!is.fail(), "malformed witness cell '" << cell << "'");
-  return witness;
+  const auto dims = common::split(cell, 'x');
+  AKS_CHECK(dims.size() == 4, "malformed witness cell '" << cell << "'");
+  const auto dim = [&](std::size_t i) {
+    return common::parse_number<std::int64_t>(dims[i],
+                                              "certify report witness");
+  };
+  return {.m = dim(0), .k = dim(1), .n = dim(2), .batch = dim(3)};
 }
 
 gemm::GemmShape gemm_shape_of(const WitnessShape& witness) {
@@ -132,13 +133,17 @@ CertifyReport CertifyReport::load_csv(const std::filesystem::path& path) {
   for (const auto& row : table.rows) {
     if (row[verdict_col] == "summary") {
       report.configs_checked =
-          static_cast<std::size_t>(std::stoull(row[idx_col]));
+          common::parse_number<std::size_t>(row[idx_col],
+                                            "certify report configs_checked");
       report.devices_checked =
-          static_cast<std::size_t>(std::stoull(row[dev_col]));
+          common::parse_number<std::size_t>(row[dev_col],
+                                            "certify report devices_checked");
       continue;
     }
     Certificate cert;
-    cert.config_index = static_cast<std::size_t>(std::stoull(row[idx_col]));
+    cert.config_index =
+        common::parse_number<std::size_t>(row[idx_col],
+                                          "certify report config_index");
     cert.config = row[cfg_col];
     cert.device = row[dev_col];
     cert.verdict = parse_verdict(row[verdict_col]);

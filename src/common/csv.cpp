@@ -76,12 +76,9 @@ Matrix parse_numeric(const CsvTable& table) {
   Matrix out(table.num_rows(), table.num_cols());
   for (std::size_t r = 0; r < table.num_rows(); ++r) {
     for (std::size_t c = 0; c < table.num_cols(); ++c) {
-      try {
-        out(r, c) = std::stod(table.rows[r][c]);
-      } catch (const std::exception&) {
-        AKS_FAIL("non-numeric CSV cell at row " << r << " col " << c << ": '"
-                 << table.rows[r][c] << "'");
-      }
+      out(r, c) = parse_number<double>(table.rows[r][c],
+                                       "CSV cell at row " + std::to_string(r) +
+                                           " col " + std::to_string(c));
     }
   }
   return out;

@@ -1,8 +1,7 @@
 // Annotated synchronization primitives — the enforcement point of the
 // concurrency contract.
 //
-// aks::Mutex / aks::SharedMutex / aks::CondVar wrap the std primitives with
-// two additions:
+// aks::Mutex / aks::CondVar wrap the std primitives with two additions:
 //
 //  1. Clang Thread Safety Analysis capabilities (thread_annotations.hpp):
 //     members declared `AKS_GUARDED_BY(mutex_)` and functions declared
@@ -19,8 +18,6 @@
 //   std::map<Key, Record> records_ AKS_GUARDED_BY(mutex_);
 //   ...
 //   aks::MutexLock lock(mutex_);       // std::lock_guard / unique_lock
-//   aks::ReaderMutexLock lock(mutex_); // std::shared_lock
-//   aks::WriterMutexLock lock(mutex_); // std::unique_lock on shared_mutex
 //
 // Condition waits take the guard itself, and callers write the predicate
 // loop explicitly — TSA analyzes lambdas as separate functions, so the
@@ -38,7 +35,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
-#include <shared_mutex>
 
 #include "check/lockdep.hpp"
 #include "common/thread_annotations.hpp"
@@ -72,40 +68,6 @@ class AKS_CAPABILITY("mutex") Mutex {
   std::uint32_t class_id_;
 };
 
-/// Reader/writer mutex; shared acquisitions feed the same lockdep class as
-/// exclusive ones (a shared hold still blocks writers, so it participates
-/// in deadlock cycles).
-class AKS_CAPABILITY("shared_mutex") SharedMutex {
- public:
-  explicit SharedMutex(const char* lock_class)
-      : class_id_(check::lockdep::register_class(lock_class)) {}
-  SharedMutex(const SharedMutex&) = delete;
-  SharedMutex& operator=(const SharedMutex&) = delete;
-
-  void lock() AKS_ACQUIRE() {
-    check::lockdep::on_acquire(class_id_);
-    mutex_.lock();
-  }
-  void unlock() AKS_RELEASE() {
-    check::lockdep::on_release(class_id_);
-    mutex_.unlock();
-  }
-  void lock_shared() AKS_ACQUIRE_SHARED() {
-    check::lockdep::on_acquire(class_id_);
-    mutex_.lock_shared();
-  }
-  void unlock_shared() AKS_RELEASE_SHARED() {
-    check::lockdep::on_release(class_id_);
-    mutex_.unlock_shared();
-  }
-
-  [[nodiscard]] std::uint32_t lock_class() const { return class_id_; }
-
- private:
-  std::shared_mutex mutex_;
-  std::uint32_t class_id_;
-};
-
 /// RAII exclusive guard (replaces std::lock_guard / std::unique_lock).
 /// Supports mid-scope unlock()/lock() for drop-the-lock-and-work patterns;
 /// the destructor releases only if still held.
@@ -134,36 +96,6 @@ class AKS_SCOPED_CAPABILITY MutexLock {
   friend class CondVar;
   Mutex* mutex_;
   bool owned_ = true;
-};
-
-/// RAII exclusive guard over a SharedMutex (replaces std::unique_lock).
-class AKS_SCOPED_CAPABILITY WriterMutexLock {
- public:
-  explicit WriterMutexLock(SharedMutex& mutex) AKS_ACQUIRE(mutex)
-      : mutex_(&mutex) {
-    mutex_->lock();
-  }
-  ~WriterMutexLock() AKS_RELEASE() { mutex_->unlock(); }
-  WriterMutexLock(const WriterMutexLock&) = delete;
-  WriterMutexLock& operator=(const WriterMutexLock&) = delete;
-
- private:
-  SharedMutex* mutex_;
-};
-
-/// RAII shared guard over a SharedMutex (replaces std::shared_lock).
-class AKS_SCOPED_CAPABILITY ReaderMutexLock {
- public:
-  explicit ReaderMutexLock(SharedMutex& mutex) AKS_ACQUIRE_SHARED(mutex)
-      : mutex_(&mutex) {
-    mutex_->lock_shared();
-  }
-  ~ReaderMutexLock() AKS_RELEASE_SHARED() { mutex_->unlock_shared(); }
-  ReaderMutexLock(const ReaderMutexLock&) = delete;
-  ReaderMutexLock& operator=(const ReaderMutexLock&) = delete;
-
- private:
-  SharedMutex* mutex_;
 };
 
 /// Condition variable bound to aks::Mutex guards. Waits release and

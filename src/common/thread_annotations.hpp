@@ -8,7 +8,7 @@
 // other compiler they expand to nothing, so GCC builds are unaffected.
 //
 // Use through the annotated primitives in common/sync.hpp (aks::Mutex,
-// aks::SharedMutex, aks::CondVar and their RAII guards); raw std::mutex
+// aks::CondVar and the MutexLock guard); raw std::mutex
 // members cannot participate in the analysis. The negative compile tests
 // under tests/compile_fail/ prove the macros are live on Clang: a planted
 // guarded-state violation must fail the build.
@@ -26,36 +26,23 @@
 /// Declares an RAII class whose lifetime equals a capability hold.
 #define AKS_SCOPED_CAPABILITY AKS_THREAD_ANNOTATION_ATTRIBUTE(scoped_lockable)
 
-/// Data member readable/writable only with `x` held (shared hold suffices
-/// for reads, exclusive for writes).
+/// Data member readable/writable only with `x` held.
 #define AKS_GUARDED_BY(x) AKS_THREAD_ANNOTATION_ATTRIBUTE(guarded_by(x))
 
 /// Pointer member whose *pointee* is guarded by `x`.
 #define AKS_PT_GUARDED_BY(x) AKS_THREAD_ANNOTATION_ATTRIBUTE(pt_guarded_by(x))
 
-/// Function that must be entered with the capability held exclusively.
+/// Function that must be entered with the capability held.
 #define AKS_REQUIRES(...) \
   AKS_THREAD_ANNOTATION_ATTRIBUTE(requires_capability(__VA_ARGS__))
 
-/// Function that must be entered with the capability held at least shared.
-#define AKS_REQUIRES_SHARED(...) \
-  AKS_THREAD_ANNOTATION_ATTRIBUTE(requires_shared_capability(__VA_ARGS__))
-
-/// Function that acquires the capability exclusively (held on return).
+/// Function that acquires the capability (held on return).
 #define AKS_ACQUIRE(...) \
   AKS_THREAD_ANNOTATION_ATTRIBUTE(acquire_capability(__VA_ARGS__))
 
-/// Function that acquires the capability shared.
-#define AKS_ACQUIRE_SHARED(...) \
-  AKS_THREAD_ANNOTATION_ATTRIBUTE(acquire_shared_capability(__VA_ARGS__))
-
-/// Function that releases an exclusively held capability.
+/// Function that releases a held capability.
 #define AKS_RELEASE(...) \
   AKS_THREAD_ANNOTATION_ATTRIBUTE(release_capability(__VA_ARGS__))
-
-/// Function that releases a shared-held capability.
-#define AKS_RELEASE_SHARED(...) \
-  AKS_THREAD_ANNOTATION_ATTRIBUTE(release_shared_capability(__VA_ARGS__))
 
 /// Function that tries to acquire; first argument is the success value.
 #define AKS_TRY_ACQUIRE(...) \

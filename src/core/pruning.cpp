@@ -51,36 +51,6 @@ std::vector<std::size_t> argmax_configs(
   return out;
 }
 
-/// Shared body of the mask-filtering decorators: runs `inner`, drops
-/// configurations the mask rejects, and re-pads from the mask-restricted
-/// ranking. The budget caps at how many configurations survive the mask.
-std::vector<std::size_t> prune_with_mask(const ConfigPruner& inner,
-                                         const std::vector<bool>& mask,
-                                         const data::PerfDataset& train,
-                                         std::size_t max_configs) {
-  AKS_CHECK(mask.size() == train.num_configs(),
-            "config mask covers " << mask.size() << " configs, dataset has "
-                                  << train.num_configs());
-  const auto allowed = [&mask](std::size_t c) { return mask[c]; };
-
-  std::vector<std::size_t> chosen;
-  for (const std::size_t c : inner.prune(train, max_configs)) {
-    if (allowed(c)) chosen.push_back(c);
-  }
-  const std::size_t num_allowed = static_cast<std::size_t>(
-      std::count(mask.begin(), mask.end(), true));
-  const std::size_t budget =
-      std::min({max_configs, train.num_configs(), num_allowed});
-  if (chosen.size() < budget) {
-    std::set<std::size_t> seen(chosen.begin(), chosen.end());
-    for (const std::size_t c : rank_by_optimal_count(train)) {
-      if (chosen.size() == budget) break;
-      if (allowed(c) && seen.insert(c).second) chosen.push_back(c);
-    }
-  }
-  return finalize_selection(std::move(chosen), train, budget);
-}
-
 }  // namespace
 
 std::vector<std::size_t> rank_by_optimal_count(const data::PerfDataset& train) {
@@ -195,23 +165,6 @@ std::vector<std::size_t> AgglomerativePruner::prune(
   return finalize_selection(std::move(chosen), train, max_configs);
 }
 
-ValidityFilteredPruner::ValidityFilteredPruner(
-    std::unique_ptr<ConfigPruner> inner, std::vector<bool> valid)
-    : inner_(std::move(inner)), valid_(std::move(valid)) {
-  AKS_CHECK(inner_ != nullptr, "ValidityFilteredPruner needs an inner pruner");
-  AKS_CHECK(std::find(valid_.begin(), valid_.end(), true) != valid_.end(),
-            "validity mask rejects every configuration");
-}
-
-std::string ValidityFilteredPruner::name() const {
-  return inner_->name() + "+Lint";
-}
-
-std::vector<std::size_t> ValidityFilteredPruner::prune(
-    const data::PerfDataset& train, std::size_t max_configs) const {
-  return prune_with_mask(*inner_, valid_, train, max_configs);
-}
-
 CertifiedPruner::CertifiedPruner(std::unique_ptr<ConfigPruner> inner,
                                  std::vector<bool> safe)
     : inner_(std::move(inner)), safe_(std::move(safe)) {
@@ -226,7 +179,27 @@ std::string CertifiedPruner::name() const {
 
 std::vector<std::size_t> CertifiedPruner::prune(
     const data::PerfDataset& train, std::size_t max_configs) const {
-  return prune_with_mask(*inner_, safe_, train, max_configs);
+  AKS_CHECK(safe_.size() == train.num_configs(),
+            "safety mask covers " << safe_.size() << " configs, dataset has "
+                                  << train.num_configs());
+  std::vector<std::size_t> chosen;
+  for (const std::size_t c : inner_->prune(train, max_configs)) {
+    if (safe_[c]) chosen.push_back(c);
+  }
+  // Re-pad from the safe-restricted ranking; the budget caps at how many
+  // configurations are SAFE.
+  const std::size_t num_safe =
+      static_cast<std::size_t>(std::count(safe_.begin(), safe_.end(), true));
+  const std::size_t budget =
+      std::min({max_configs, train.num_configs(), num_safe});
+  if (chosen.size() < budget) {
+    std::set<std::size_t> seen(chosen.begin(), chosen.end());
+    for (const std::size_t c : rank_by_optimal_count(train)) {
+      if (chosen.size() == budget) break;
+      if (safe_[c] && seen.insert(c).second) chosen.push_back(c);
+    }
+  }
+  return finalize_selection(std::move(chosen), train, budget);
 }
 
 std::vector<std::unique_ptr<ConfigPruner>> all_pruners(std::uint64_t seed) {

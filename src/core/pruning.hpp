@@ -111,26 +111,6 @@ class AgglomerativePruner final : public ConfigPruner {
       const data::PerfDataset& train, std::size_t max_configs) const override;
 };
 
-/// Decorator that removes configurations flagged invalid by the static
-/// config lint (akscheck) from another pruner's selection, re-padding from
-/// the validity-restricted top-N ranking so the budget is still met. The
-/// mask is a plain per-config bitmap (index = canonical config index, true
-/// = valid) — typically `check::LintReport::valid_mask()` carried across
-/// the process boundary as a report file, keeping this layer free of a
-/// dependency on the analysis tooling.
-class ValidityFilteredPruner final : public ConfigPruner {
- public:
-  ValidityFilteredPruner(std::unique_ptr<ConfigPruner> inner,
-                         std::vector<bool> valid);
-  [[nodiscard]] std::string name() const override;
-  [[nodiscard]] std::vector<std::size_t> prune(
-      const data::PerfDataset& train, std::size_t max_configs) const override;
-
- private:
-  std::unique_ptr<ConfigPruner> inner_;
-  std::vector<bool> valid_;
-};
-
 /// Decorator that removes configurations whose symbolic safety certificate
 /// is not SAFE from another pruner's selection, re-padding from the
 /// safety-restricted top-N ranking so the budget is still met. The mask is
@@ -138,9 +118,9 @@ class ValidityFilteredPruner final : public ConfigPruner {
 /// on the target device(s)) — typically
 /// `check::symbolic::CertifyReport::safe_mask()`, carried across the
 /// process boundary as a certificate file, keeping this layer free of a
-/// dependency on the analysis tooling. Where ValidityFilteredPruner
-/// enforces per-replay dynamic findings, this enforces the for-all-shapes
-/// static verdicts: a config without a SAFE certificate never ships.
+/// dependency on the analysis tooling. It is the one mask filter: a config
+/// with a config-lint finding on a device is never SAFE there, because the
+/// certificate's capacity rules check the same three device limits.
 class CertifiedPruner final : public ConfigPruner {
  public:
   CertifiedPruner(std::unique_ptr<ConfigPruner> inner, std::vector<bool> safe);

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/strings.hpp"
 
 namespace aks::select {
 
@@ -17,19 +18,6 @@ std::string hex_double(double value) {
   char buffer[40];
   std::snprintf(buffer, sizeof(buffer), "%a", value);
   return buffer;
-}
-
-double parse_hex_double(const std::string& text) {
-  try {
-    std::size_t consumed = 0;
-    const double value = std::stod(text, &consumed);
-    AKS_CHECK(consumed == text.size(), "trailing characters in number");
-    return value;
-  } catch (const common::Error&) {
-    throw;
-  } catch (const std::exception&) {
-    AKS_FAIL("malformed number in selector file: '" << text << "'");
-  }
 }
 
 }  // namespace
@@ -115,13 +103,14 @@ DecisionTreeSelector load_selector(const std::filesystem::path& path) {
     AKS_CHECK(value_count == allowed_count,
               "node has " << value_count << " values, expected "
               << allowed_count << " in " << path);
-    node.threshold = parse_hex_double(threshold_text);
+    node.threshold =
+        common::parse_number<double>(threshold_text, "selector threshold");
     node.value.resize(value_count);
     for (auto& v : node.value) {
       std::string value_text;
       in >> value_text;
       AKS_CHECK(!in.fail(), "truncated node values in " << path);
-      v = parse_hex_double(value_text);
+      v = common::parse_number<double>(value_text, "selector node value");
     }
   }
 

@@ -177,13 +177,14 @@ PerfDataset PerfDataset::load(const std::filesystem::path& path) {
     } else {
       item.transform = Transform::kIm2col;
     }
-    item.batch = std::stoi(row[3]);
-    item.shape.m = std::stoull(row[4]);
-    item.shape.k = std::stoull(row[5]);
-    item.shape.n = std::stoull(row[6]);
+    const std::string where = "dataset row " + std::to_string(r + 1);
+    item.batch = common::parse_number<int>(row[3], where);
+    item.shape.m = common::parse_number<std::size_t>(row[4], where);
+    item.shape.k = common::parse_number<std::size_t>(row[5], where);
+    item.shape.n = common::parse_number<std::size_t>(row[6], where);
     shapes.push_back(std::move(item));
     for (std::size_t c = 0; c < n_configs; ++c) {
-      times(r, c) = std::stod(row[7 + c]);
+      times(r, c) = common::parse_number<double>(row[7 + c], where);
     }
   }
   return PerfDataset(std::move(shapes), std::move(times));

@@ -83,13 +83,8 @@ FaultPlan FaultPlan::mixed(double rate, std::uint64_t seed) {
 namespace {
 
 double parse_rate(const std::string& value, const std::string& key) {
-  double rate = 0.0;
-  try {
-    rate = std::stod(value);
-  } catch (const std::exception&) {
-    AKS_FAIL("fault plan: '" << key << "' needs a number, got '" << value
-                             << "'");
-  }
+  const double rate =
+      common::parse_number<double>(value, "fault plan '" + key + "'");
   AKS_CHECK(rate >= 0.0, "fault plan: '" << key << "' must be >= 0");
   return rate;
 }
@@ -130,7 +125,8 @@ FaultPlan FaultPlan::parse(const std::string& spec) {
     const std::string key{common::trim(item.substr(0, eq))};
     const std::string value{common::trim(item.substr(eq + 1))};
     if (key == "seed") {
-      plan.seed = std::stoull(value);
+      plan.seed =
+          common::parse_number<std::uint64_t>(value, "fault plan 'seed'");
     } else if (key == "launch") {
       plan.at(Site::kKernelLaunch).launch_failure = parse_rate(value, key);
     } else if (key == "hang") {

@@ -46,16 +46,13 @@ KernelConfig KernelConfig::parse(const std::string& name) {
   const auto wg = common::split(parts[2].substr(2), 'x');
   AKS_CHECK(tiles.size() == 2 && wg.size() == 2,
             "malformed kernel config name: " << name);
+  const std::string what = "kernel config name " + name;
   KernelConfig config;
-  try {
-    config.row_tile = std::stoi(tiles[0]);
-    config.col_tile = std::stoi(tiles[1]);
-    config.acc_size = std::stoi(parts[1].substr(1));
-    config.wg_rows = std::stoi(wg[0]);
-    config.wg_cols = std::stoi(wg[1]);
-  } catch (const std::exception&) {
-    AKS_FAIL("malformed kernel config name: " << name);
-  }
+  config.row_tile = common::parse_number<int>(tiles[0], what);
+  config.col_tile = common::parse_number<int>(tiles[1], what);
+  config.acc_size = common::parse_number<int>(parts[1].substr(1), what);
+  config.wg_rows = common::parse_number<int>(wg[0], what);
+  config.wg_cols = common::parse_number<int>(wg[1], what);
   // Validate by round-tripping through the canonical index.
   (void)config_index(config);
   return config;

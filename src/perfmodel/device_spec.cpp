@@ -4,6 +4,7 @@
 #include <fstream>
 #include <functional>
 #include <map>
+#include <sstream>
 
 #include "common/crc32.hpp"
 #include "common/error.hpp"
@@ -15,36 +16,20 @@ namespace {
 
 /// Field table shared by the reader and the writer so they cannot drift.
 struct Field {
-  std::function<void(DeviceSpec&, const std::string&)> set;
+  /// Sets the field from its text; `where` names the file line in errors.
+  std::function<void(DeviceSpec&, const std::string& text,
+                     const std::string& where)>
+      set;
   std::function<std::string(const DeviceSpec&)> get;
 };
-
-template <typename T>
-T parse_number(const std::string& text) {
-  try {
-    std::size_t consumed = 0;
-    if constexpr (std::is_integral_v<T>) {
-      const long long v = std::stoll(text, &consumed);
-      AKS_CHECK(consumed == text.size(), "trailing characters");
-      return static_cast<T>(v);
-    } else {
-      const double v = std::stod(text, &consumed);
-      AKS_CHECK(consumed == text.size(), "trailing characters");
-      return static_cast<T>(v);
-    }
-  } catch (const common::Error&) {
-    throw;
-  } catch (const std::exception&) {
-    AKS_FAIL("malformed numeric value '" << text << "'");
-  }
-}
 
 const std::map<std::string, Field>& fields() {
   auto num_field = [](auto member) {
     return Field{
-        [member](DeviceSpec& spec, const std::string& text) {
-          spec.*member = parse_number<
-              std::remove_reference_t<decltype(spec.*member)>>(text);
+        [member](DeviceSpec& spec, const std::string& text,
+                 const std::string& where) {
+          spec.*member = common::parse_number<
+              std::remove_reference_t<decltype(spec.*member)>>(text, where);
         },
         [member](const DeviceSpec& spec) {
           using T = std::remove_cvref_t<decltype(spec.*member)>;
@@ -57,7 +42,8 @@ const std::map<std::string, Field>& fields() {
   };
   static const std::map<std::string, Field> table = {
       {"name",
-       {[](DeviceSpec& spec, const std::string& text) { spec.name = text; },
+       {[](DeviceSpec& spec, const std::string& text,
+           const std::string&) { spec.name = text; },
         [](const DeviceSpec& spec) { return spec.name; }}},
       {"num_cus", num_field(&DeviceSpec::num_cus)},
       {"simd_width", num_field(&DeviceSpec::simd_width)},
@@ -101,11 +87,9 @@ DeviceSpec DeviceSpec::from_file(const std::filesystem::path& path) {
     const auto it = fields().find(key);
     AKS_CHECK(it != fields().end(),
               path << ":" << line_no << ": unknown device key '" << key << "'");
-    try {
-      it->second.set(spec, value);
-    } catch (const common::Error& e) {
-      AKS_FAIL(path << ":" << line_no << ": " << e.what());
-    }
+    std::ostringstream where;
+    where << path << ":" << line_no << " (" << key << ")";
+    it->second.set(spec, value, where.str());
   }
   AKS_CHECK(spec.num_cus > 0 && spec.simd_width > 0 && spec.clock_ghz > 0,
             "device file " << path << " describes a degenerate device");

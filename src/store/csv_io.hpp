@@ -2,9 +2,8 @@
 // `aks_tune store export/import`.
 //
 // Lives in the library (not the CLI) so the parser is unit-testable:
-// every numeric field goes through a checked parser that raises
-// common::Error with row/column context instead of letting std::stoull's
-// std::invalid_argument / std::out_of_range escape to the user, and field
+// every numeric field goes through common::parse_number, whose
+// common::Error gains the line, column and field name here, and field
 // counts are validated per record kind before any field is touched.
 //
 // Row formats (leading record-type column makes rows self-describing;

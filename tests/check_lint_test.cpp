@@ -1,15 +1,19 @@
 // Positive-path coverage of the akscheck passes: the shipped configuration
 // space lints clean on every shipped device, reports round-trip through
-// CSV, the validity mask feeds the pruning decorator, and the checked
-// execution mode replays real kernels without findings.
+// CSV, findings name only the offending config, and the checked execution
+// mode replays real kernels without findings.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
+#include <set>
+#include <string>
 
 #include "check/checked_conv.hpp"
 #include "check/checked_gemm.hpp"
 #include "check/config_lint.hpp"
+#include "common/csv.hpp"
+#include "common/error.hpp"
 #include "gemm/config.hpp"
 #include "perfmodel/device_spec.hpp"
 
@@ -76,6 +80,25 @@ TEST(ConfigLint, ReportRoundTripsThroughCsv) {
   }
 }
 
+TEST(ConfigLint, LoadRejectsMalformedIndexWithError) {
+  gemm::KernelConfig bad;
+  bad.wg_rows = 48;
+  bad.wg_cols = 48;
+  const std::vector<gemm::KernelConfig> configs = {bad};
+  const auto path = std::filesystem::temp_directory_path() /
+                    "akscheck_lint_malformed_test.csv";
+  check::lint_configs(configs, shipped_devices()).save_csv(path);
+  const auto valid = common::read_csv(path);
+  for (const char* text : {"abc", "0x", "-1", ""}) {
+    auto table = valid;
+    table.rows[1][table.column_index("config_index")] = text;
+    common::write_csv(path, table);
+    EXPECT_THROW((void)check::LintReport::load_csv(path), common::Error)
+        << text;
+  }
+  std::filesystem::remove(path);
+}
+
 TEST(ConfigLint, ValidMaskFlagsOnlyOffendingConfigs) {
   gemm::KernelConfig good;  // defaults lint clean everywhere
   gemm::KernelConfig bad;
@@ -85,17 +108,14 @@ TEST(ConfigLint, ValidMaskFlagsOnlyOffendingConfigs) {
   const auto devices = shipped_devices();
   const auto report = check::lint_configs(configs, devices);
 
-  const auto mask = report.valid_mask(configs.size());
-  ASSERT_EQ(mask.size(), 3u);
-  EXPECT_TRUE(mask[0]);
-  EXPECT_FALSE(mask[1]);
-  EXPECT_TRUE(mask[2]);
-
-  // Per-device restriction: the oversized group is invalid on every device,
-  // so the mask is the same when restricted to one.
-  const auto nano_mask =
-      report.valid_mask(configs.size(), perf::DeviceSpec::amd_r9_nano().name);
-  EXPECT_FALSE(nano_mask[1]);
+  // The oversized group is invalid on every device; the good configs at
+  // indices 0 and 2 draw no finding anywhere.
+  std::set<std::string> flagged_devices;
+  for (const auto& finding : report.findings) {
+    EXPECT_EQ(finding.config_index, 1u) << finding.message;
+    flagged_devices.insert(finding.device);
+  }
+  EXPECT_EQ(flagged_devices.size(), devices.size());
 }
 
 TEST(LintRule, NamesRoundTrip) {

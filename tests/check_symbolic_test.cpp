@@ -7,12 +7,17 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "check/report_json.hpp"
 #include "check/symbolic/access_summary.hpp"
 #include "check/symbolic/certificate.hpp"
 #include "check/symbolic/domain.hpp"
 #include "check/symbolic/verifier.hpp"
+#include "common/csv.hpp"
+#include "common/error.hpp"
 #include "conv/winograd.hpp"
 #include "gemm/access_metadata.hpp"
 #include "gemm/config.hpp"
@@ -234,6 +239,38 @@ TEST(Certify, ReportRoundTripsThroughCsv) {
               report.certificates[i].precondition);
     EXPECT_EQ(loaded.certificates[i].witness, report.certificates[i].witness);
   }
+}
+
+TEST(Certify, LoadRejectsMalformedNumbersWithError) {
+  CertifyOptions options;
+  options.max_configs = 2;
+  const auto report = certify_space(gemm::enumerate_configs(),
+                                    perf::DeviceSpec::shipped(), options);
+  const auto path = std::filesystem::temp_directory_path() /
+                    "akscheck_certify_malformed_test.csv";
+  report.save_csv(path);
+  const auto valid = common::read_csv(path);
+  const auto column = [&](const char* name) {
+    return valid.column_index(name);
+  };
+  // Row 0 is the summary row; row 1 the first certificate. A witness is
+  // exactly four 'x'-separated integers: 1y2z3w4junk is not 1x2x3x4.
+  const std::vector<std::tuple<std::size_t, std::size_t, std::string>> cells =
+      {{1, column("config_index"), "abc"},
+       {1, column("config_index"), "-1"},
+       {1, column("witness"), "1y2z3w4junk"},
+       {1, column("witness"), "1x2x3x4x5"},
+       {1, column("witness"), "1x2x3x"},
+       {0, column("config_index"), "2x"},
+       {0, column("device"), "99999999999999999999"}};
+  for (const auto& [row, col, text] : cells) {
+    auto table = valid;
+    table.rows[row][col] = text;
+    common::write_csv(path, table);
+    EXPECT_THROW((void)CertifyReport::load_csv(path), common::Error)
+        << "row " << row << " col " << col << " = '" << text << "'";
+  }
+  std::filesystem::remove(path);
 }
 
 TEST(Certify, SafeMaskFlagsNonSafeConfigs) {

@@ -25,10 +25,12 @@ class MetricsCsvTest : public ::testing::Test {
   }
 
   std::filesystem::path write_registry(const MetricsRegistry& registry) {
+    // One file per test: ctest -j runs this suite's tests concurrently.
     path_ = std::filesystem::temp_directory_path() /
             ("aks_metrics_test_" +
-             std::to_string(::testing::UnitTest::GetInstance()
-                                ->random_seed()) +
+             std::string(::testing::UnitTest::GetInstance()
+                             ->current_test_info()
+                             ->name()) +
              ".csv");
     std::ofstream out(path_);
     registry.write_csv(out);

@@ -40,30 +40,11 @@ class Guarded {
   std::vector<int> values_ AKS_GUARDED_BY(mutex_);
 };
 
-class SharedGuarded {
- public:
-  [[nodiscard]] int read() const {
-    aks::ReaderMutexLock lock(mutex_);
-    return value_;
-  }
-
-  void write(int v) {
-    aks::WriterMutexLock lock(mutex_);
-    value_ = v;
-  }
-
- private:
-  mutable aks::SharedMutex mutex_{"compile_fail.shared"};
-  int value_ AKS_GUARDED_BY(mutex_) = 0;
-};
-
 }  // namespace
 
 int main() {
   Guarded guarded;
   guarded.push(1);
   guarded.append(2);
-  SharedGuarded shared;
-  shared.write(3);
-  return guarded.wait_and_pop() + shared.read();
+  return guarded.wait_and_pop();
 }

@@ -146,45 +146,6 @@ TEST_F(PruningTest, AllPrunersHaveDistinctNames) {
   EXPECT_EQ(names.size(), 5u);
 }
 
-TEST_F(PruningTest, ValidityFilterRemovesLintedConfigs) {
-  // Mark the unfiltered selection's first pick invalid (as the akscheck
-  // config lint would) and check it is replaced, not just dropped.
-  TopNPruner base;
-  const auto unfiltered = base.prune(dataset(), 8);
-  std::vector<bool> valid(dataset().num_configs(), true);
-  valid[unfiltered[0]] = false;
-
-  ValidityFilteredPruner filtered(std::make_unique<TopNPruner>(), valid);
-  EXPECT_EQ(filtered.name(), "TopN+Lint");
-  const auto configs = filtered.prune(dataset(), 8);
-  EXPECT_EQ(configs.size(), 8u);
-  EXPECT_TRUE(std::is_sorted(configs.begin(), configs.end()));
-  for (const auto c : configs) {
-    EXPECT_TRUE(valid[c]) << "config " << c << " is lint-invalid";
-  }
-}
-
-TEST_F(PruningTest, ValidityFilterClampsBudgetToSurvivors) {
-  // Only three configurations survive the lint: the budget caps there.
-  std::vector<bool> valid(dataset().num_configs(), false);
-  valid[3] = valid[100] = valid[500] = true;
-  ValidityFilteredPruner filtered(std::make_unique<TopNPruner>(), valid);
-  const auto configs = filtered.prune(dataset(), 8);
-  EXPECT_EQ(configs.size(), 3u);
-  for (const auto c : configs) EXPECT_TRUE(valid[c]);
-}
-
-TEST_F(PruningTest, ValidityFilterRejectsDegenerateInputs) {
-  EXPECT_THROW(ValidityFilteredPruner(nullptr, {true}), common::Error);
-  EXPECT_THROW(ValidityFilteredPruner(std::make_unique<TopNPruner>(),
-                                      std::vector<bool>(640, false)),
-               common::Error);
-  // Mask size must match the dataset.
-  ValidityFilteredPruner short_mask(std::make_unique<TopNPruner>(),
-                                    std::vector<bool>(10, true));
-  EXPECT_THROW((void)short_mask.prune(dataset(), 4), common::Error);
-}
-
 TEST_F(PruningTest, CertifiedPrunerDropsUncertifiedConfigs) {
   TopNPruner top_n;
   const auto unfiltered = top_n.prune(dataset(), 8);
@@ -218,26 +179,6 @@ TEST_F(PruningTest, CertifiedPrunerRejectsDegenerateInputs) {
   CertifiedPruner short_mask(std::make_unique<TopNPruner>(),
                              std::vector<bool>(10, true));
   EXPECT_THROW((void)short_mask.prune(dataset(), 4), common::Error);
-}
-
-TEST_F(PruningTest, CertifiedAndLintFiltersCompose) {
-  // The two mask decorators stack: lint validity inside, certificates
-  // outside — exactly how run_pipeline and akscheck deploy them.
-  std::vector<bool> valid(dataset().num_configs(), true);
-  std::vector<bool> safe(dataset().num_configs(), true);
-  valid[10] = false;
-  safe[20] = false;
-  CertifiedPruner pruner(
-      std::make_unique<ValidityFilteredPruner>(std::make_unique<TopNPruner>(),
-                                               valid),
-      safe);
-  EXPECT_EQ(pruner.name(), "TopN+Lint+Certified");
-  const auto configs = pruner.prune(dataset(), 12);
-  EXPECT_EQ(configs.size(), 12u);
-  for (const auto c : configs) {
-    EXPECT_TRUE(valid[c]);
-    EXPECT_TRUE(safe[c]);
-  }
 }
 
 }  // namespace

@@ -4,7 +4,11 @@
 #include <atomic>
 #include <filesystem>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "common/csv.hpp"
 #include "common/error.hpp"
 #include "dataset/benchmark_runner.hpp"
 #include "dataset/extract.hpp"
@@ -274,6 +278,26 @@ TEST(PerfDataset, SaveLoadRoundTrip) {
       EXPECT_NEAR(loaded.times()(r, c), ds.times()(r, c),
                   1e-9 * ds.times()(r, c));
     }
+  }
+  std::filesystem::remove(path);
+}
+
+TEST(PerfDataset, LoadRejectsMalformedCellsWithError) {
+  const auto path =
+      std::filesystem::temp_directory_path() / "aks_dataset_malformed.csv";
+  tiny_dataset().save(path);
+  const auto valid = common::read_csv(path);
+  // (column, text): each cell is read whole, so none of these may load as
+  // its numeric prefix or escape as a std:: exception.
+  const std::vector<std::pair<std::size_t, std::string>> cells = {
+      {4, "12x"}, {3, "abc"}, {5, "-1"}, {6, "99999999999999999999"},
+      {7, "0.5x"}, {8, " 0.5"}, {9, ""}};
+  for (const auto& [column, text] : cells) {
+    auto table = valid;
+    table.rows[0][column] = text;
+    common::write_csv(path, table);
+    EXPECT_THROW((void)PerfDataset::load(path), common::Error)
+        << "column " << column << " = '" << text << "'";
   }
   std::filesystem::remove(path);
 }

@@ -51,6 +51,12 @@ TEST(FaultPlan, RejectsMalformedSpecs) {
   EXPECT_THROW((void)FaultPlan::parse("mixed@nope"), common::Error);
   // Per-site rates must sum to at most 1 (outlier + nan share a site).
   EXPECT_THROW((void)FaultPlan::parse("outlier=0.6,nan=0.6"), common::Error);
+  // A number must be the whole value: never its prefix, never a std::
+  // exception.
+  for (const char* spec : {"seed=abc", "seed=12x", "seed=-1", "launch=0.1x",
+                           "launch=", "mixed@0.3x", "hang-ms=+2"}) {
+    EXPECT_THROW((void)FaultPlan::parse(spec), common::Error) << spec;
+  }
 }
 
 std::vector<FaultKind> probe_sequence(const FaultPlan& plan,

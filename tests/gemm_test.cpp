@@ -40,6 +40,10 @@ TEST(Config, ParseRejectsMalformedNames) {
   EXPECT_THROW(KernelConfig::parse("t4x4_a2_wg9x9"), common::Error);
   EXPECT_THROW(KernelConfig::parse("t3x4_a2_wg8x8"), common::Error);
   EXPECT_THROW(KernelConfig::parse("txx4_a2_wg8x8"), common::Error);
+  // Each number in the name is read whole: a trailing character is an error.
+  EXPECT_THROW(KernelConfig::parse("t1x1_a1z_wg8x8"), common::Error);
+  EXPECT_THROW(KernelConfig::parse("t1x1_a1_wg8x8 "), common::Error);
+  EXPECT_THROW(KernelConfig::parse("t+1x1_a1_wg8x8"), common::Error);
 }
 
 TEST(Config, WorkGroupShapesMatchPaper) {

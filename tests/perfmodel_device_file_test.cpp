@@ -68,10 +68,17 @@ TEST(DeviceFile, UnknownKeyRejected) {
 }
 
 TEST(DeviceFile, MalformedValueRejected) {
-  const auto path = temp_path("bad_value.txt");
-  std::ofstream(path) << "num_cus = many\n";
-  EXPECT_THROW((void)DeviceSpec::from_file(path), common::Error);
-  std::filesystem::remove(path);
+  // Each value is read whole and must fit its field: never a numeric
+  // prefix, never a wrapped value.
+  for (const char* line :
+       {"num_cus = many\n", "num_cus = 4294967297\n",
+        "local_memory_bytes = -1\n", "clock_ghz = 1e999\n",
+        "simd_width = 64 lanes\n"}) {
+    const auto path = temp_path("bad_value.txt");
+    std::ofstream(path) << line;
+    EXPECT_THROW((void)DeviceSpec::from_file(path), common::Error) << line;
+    std::filesystem::remove(path);
+  }
 }
 
 TEST(DeviceFile, MissingEqualsRejected) {

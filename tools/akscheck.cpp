@@ -26,7 +26,7 @@
 // 1 findings, 2 usage error.
 #include <fstream>
 #include <iostream>
-#include <map>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -39,6 +39,7 @@
 #include "check/report_json.hpp"
 #include "check/symbolic/certificate.hpp"
 #include "common/error.hpp"
+#include "common/strings.hpp"
 #include "gemm/config.hpp"
 #include "perfmodel/device_spec.hpp"
 
@@ -65,93 +66,67 @@ struct Args {
   bool verbose = false;
 };
 
-/// stoull with validation: rejects empty, non-digit, and overflowing input
-/// with a usage error instead of an uncaught std exception.
-std::size_t parse_size(const std::string& text, const char* what) {
-  AKS_CHECK(!text.empty() &&
-                text.find_first_not_of("0123456789") == std::string::npos,
-            what << " must be a non-negative integer, got '" << text << "'");
-  try {
-    return std::stoull(text);
-  } catch (const std::out_of_range&) {
-    AKS_FAIL(what << " is out of range: '" << text << "'");
-  }
-}
-
 gemm::GemmShape parse_shape(const std::string& text) {
-  gemm::GemmShape shape;
-  const auto x1 = text.find('x');
-  const auto x2 = text.find('x', x1 + 1);
-  AKS_CHECK(x1 != std::string::npos && x2 != std::string::npos,
-            "shape must be MxKxN, got '" << text << "'");
-  shape.m = parse_size(text.substr(0, x1), "shape dimension M");
-  shape.k = parse_size(text.substr(x1 + 1, x2 - x1 - 1), "shape dimension K");
-  shape.n = parse_size(text.substr(x2 + 1), "shape dimension N");
+  const auto dims = common::split(text, 'x');
+  AKS_CHECK(dims.size() == 3, "shape must be MxKxN, got '" << text << "'");
+  const gemm::GemmShape shape{
+      .m = common::parse_number<std::size_t>(dims[0], "shape dimension M"),
+      .k = common::parse_number<std::size_t>(dims[1], "shape dimension K"),
+      .n = common::parse_number<std::size_t>(dims[2], "shape dimension N")};
   AKS_CHECK(shape.m > 0 && shape.k > 0 && shape.n > 0,
             "shape dimensions must be positive: '" << text << "'");
   return shape;
 }
 
+/// Every flag akscheck reads; anything else is a usage error.
+constexpr common::CliArgs::Flag kFlags[] = {
+    {"registry", false},     {"lint", false},         {"conv", false},
+    {"certify", false},      {"locks", false},        {"differential", false},
+    {"verbose", false},      {"threads", true},       {"requests", true},
+    {"devices", true},       {"report", true},        {"format", true},
+    {"samples", true},       {"max-configs", true},   {"conv-stride", true},
+    {"shapes", true},
+};
+
 Args parse_args(int argc, char** argv) {
+  const common::CliArgs cli(argc, argv, kFlags);
+  constexpr auto kMax = std::numeric_limits<std::size_t>::max();
   Args args;
-  for (int i = 1; i < argc; ++i) {
-    const std::string token = argv[i];
-    const auto value = [&]() -> std::string {
-      AKS_CHECK(i + 1 < argc, "missing value for option " << token);
-      return argv[++i];
-    };
-    if (token == "--registry") {
-      args.registry = true;
-    } else if (token == "--lint") {
-      args.lint = true;
-    } else if (token == "--conv") {
-      args.conv = true;
-    } else if (token == "certify" || token == "--certify") {
+  args.registry = cli.has("registry");
+  args.lint = cli.has("lint");
+  args.conv = cli.has("conv");
+  args.certify = cli.has("certify");
+  args.locks = cli.has("locks");
+  // `certify` and `locks` also work as bare subcommand words.
+  for (const auto& word : cli.positional()) {
+    if (word == "certify") {
       args.certify = true;
-    } else if (token == "locks" || token == "--locks") {
+    } else if (word == "locks") {
       args.locks = true;
-    } else if (token == "--threads") {
-      args.threads = parse_size(value(), "--threads");
-      AKS_CHECK(args.threads > 0, "--threads must be positive");
-    } else if (token == "--requests") {
-      args.requests = parse_size(value(), "--requests");
-    } else if (token == "--differential") {
-      args.differential = true;
-    } else if (token == "--verbose") {
-      args.verbose = true;
-    } else if (token == "--devices") {
-      args.devices = value();
-    } else if (token == "--report") {
-      args.report = value();
-    } else if (token == "--format") {
-      args.format = value();
-      AKS_CHECK(args.format == "csv" || args.format == "json" ||
-                    args.format == "dot",
-                "--format must be csv, json or dot, got '" << args.format
-                                                           << "'");
-    } else if (token == "--samples") {
-      args.samples = parse_size(value(), "--samples");
-    } else if (token == "--max-configs") {
-      args.max_configs = parse_size(value(), "--max-configs");
-    } else if (token == "--conv-stride") {
-      args.conv_stride = parse_size(value(), "--conv-stride");
-    } else if (token == "--shapes") {
-      const std::string list = value();
-      std::size_t start = 0;
-      while (start <= list.size()) {
-        const auto comma = list.find(',', start);
-        const auto end = comma == std::string::npos ? list.size() : comma;
-        if (end > start) {
-          args.shapes.push_back(parse_shape(list.substr(start, end - start)));
-        }
-        if (comma == std::string::npos) break;
-        start = comma + 1;
-      }
-      AKS_CHECK(!args.shapes.empty(), "--shapes needs at least one MxKxN");
     } else {
-      AKS_FAIL("unknown option '" << token << "'");
+      AKS_FAIL("unknown option '" << word << "'");
     }
   }
+  args.differential = cli.has("differential");
+  args.verbose = cli.has("verbose");
+  args.threads = cli.number<std::size_t>("threads", args.threads, 1, kMax);
+  args.requests = cli.number<std::size_t>("requests", args.requests, 0, kMax);
+  args.devices = cli.get("devices", args.devices);
+  args.report = cli.get("report");
+  args.format = cli.get("format", args.format);
+  AKS_CHECK(args.format == "csv" || args.format == "json" ||
+                args.format == "dot",
+            "--format must be csv, json or dot, got '" << args.format << "'");
+  args.samples = cli.number<std::size_t>("samples", args.samples, 0, kMax);
+  args.max_configs =
+      cli.number<std::size_t>("max-configs", args.max_configs, 0, kMax);
+  args.conv_stride =
+      cli.number<std::size_t>("conv-stride", args.conv_stride, 0, kMax);
+  for (const auto& shape : common::split(cli.get("shapes"), ',')) {
+    if (!shape.empty()) args.shapes.push_back(parse_shape(shape));
+  }
+  AKS_CHECK(!cli.has("shapes") || !args.shapes.empty(),
+            "--shapes needs at least one MxKxN");
   if (!args.registry && !args.lint && !args.conv && !args.certify &&
       !args.locks) {
     args.registry = true;
