@@ -12,7 +12,10 @@
 //      the fault-free selections is <= 1.25x (prediction by the noise-free
 //      analytic CostModel, so the gate measures selection quality, not
 //      injected noise);
-//   4. quarantined configurations never win a shape.
+//   4. quarantined configurations never win a shape. Quarantine is not
+//      retroactive — a published answer stands, and quarantine only grows —
+//      so a win counts against the gate only when its config was already
+//      quarantined before every first-pass request for that shape.
 //
 // CI runs this as part of the fault-matrix job; it is also a handy local
 // smoke test after touching src/faults or the hardened consumers.
@@ -20,6 +23,7 @@
 #include <atomic>
 #include <cmath>
 #include <iostream>
+#include <map>
 #include <set>
 #include <thread>
 #include <vector>
@@ -36,6 +40,8 @@ namespace {
 
 struct RunResult {
   std::vector<std::size_t> chosen;  // canonical config index per shape
+  /// tuner.quarantined() taken just before each first-pass select.
+  std::vector<std::vector<std::size_t>> quarantined_before;
   std::size_t throws = 0;
   serve::ServiceStats stats;
   std::vector<std::size_t> quarantined;
@@ -57,10 +63,12 @@ RunResult run_corpus(const std::vector<gemm::GemmShape>& corpus,
   std::atomic<std::size_t> throws{0};
   std::vector<std::size_t> chosen(corpus.size(),
                                   gemm::enumerate_configs().size());
+  std::vector<std::vector<std::size_t>> quarantined_before(corpus.size());
   std::vector<std::thread> clients;
   for (std::size_t t = 0; t < threads; ++t) {
     clients.emplace_back([&, t] {
       for (std::size_t s = t; s < corpus.size(); s += threads) {
+        quarantined_before[s] = tuner.quarantined();
         try {
           chosen[s] = gemm::config_index(service.select(corpus[s]));
         } catch (...) {
@@ -82,6 +90,7 @@ RunResult run_corpus(const std::vector<gemm::GemmShape>& corpus,
 
   RunResult result;
   result.chosen = std::move(chosen);
+  result.quarantined_before = std::move(quarantined_before);
   result.throws = throws.load();
   result.stats = service.stats();
   result.quarantined = tuner.quarantined();
@@ -120,8 +129,16 @@ int main() {
   }
 
   const std::set<std::size_t> allowed(candidates.begin(), candidates.end());
-  const std::set<std::size_t> quarantined(degraded.quarantined.begin(),
-                                          degraded.quarantined.end());
+  // Per distinct shape: was the pick quarantined before every first-pass
+  // request for it? (The corpus repeats some shapes across networks.)
+  std::map<gemm::GemmShape, bool> quarantined_before_all;
+  for (std::size_t s = 0; s < corpus.size(); ++s) {
+    const auto& before = degraded.quarantined_before[s];
+    const bool was = std::find(before.begin(), before.end(),
+                               degraded.chosen[s]) != before.end();
+    const auto [it, first] = quarantined_before_all.emplace(corpus[s], was);
+    if (!first) it->second = it->second && was;
+  }
   std::size_t invalid = 0;
   std::size_t quarantined_wins = 0;
   std::vector<double> ratios;
@@ -132,7 +149,7 @@ int main() {
       ++invalid;
       continue;
     }
-    if (quarantined.count(pick) != 0 && pick != candidates.front()) {
+    if (quarantined_before_all.at(corpus[s]) && pick != candidates.front()) {
       ++quarantined_wins;
     }
     const auto& configs = gemm::enumerate_configs();

@@ -89,7 +89,13 @@ std::uint64_t mix_key(std::uint64_t a, std::uint64_t b) {
   return splitmix64(a ^ (b + 0x9e3779b97f4a7c15ULL + (a << 6) + (a >> 2)));
 }
 
-bool plan_active() { return g_plan_armed.load(std::memory_order_acquire); }
+bool plan_active() {
+  if (g_plan_armed.load(std::memory_order_acquire)) return true;
+  // Like probe(): the first question of the process loads AKS_FAULT_PLAN.
+  if (g_env_checked.load(std::memory_order_acquire)) return false;
+  (void)snapshot_plan();
+  return g_plan_armed.load(std::memory_order_acquire);
+}
 
 bool plan_active(Site site) {
   if (!plan_active()) return false;

@@ -3,9 +3,10 @@
 // Two pieces of state cooperate:
 //
 //  * an installed FaultPlan (process-global). Tests and tools install one
-//    with ScopedFaultPlan; CI exports AKS_FAULT_PLAN and the first probe
-//    picks it up. No plan installed means every probe is kNone and costs
-//    one relaxed atomic load.
+//    with ScopedFaultPlan; CI exports AKS_FAULT_PLAN and the first probe or
+//    plan_active() call picks it up (aks_tune asks before any work, so a
+//    malformed plan fails at start-up). No plan installed means every probe
+//    is kNone and costs one relaxed atomic load.
 //
 //  * a thread-local FaultScope. Faults fire only inside a scope that arms
 //    the probed site — arming is how a code path declares "I own recovery
@@ -105,7 +106,8 @@ template <typename... Rest>
 }
 
 /// True when a plan with any non-zero rate is installed (environment plan
-/// included).
+/// included: the first call loads AKS_FAULT_PLAN, and throws common::Error
+/// when it is malformed).
 [[nodiscard]] bool plan_active();
 /// True when the installed plan has a non-zero rate at `site`.
 [[nodiscard]] bool plan_active(Site site);

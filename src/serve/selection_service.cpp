@@ -395,16 +395,15 @@ common::ThreadPool& SelectionService::async_pool() const {
 std::size_t SelectionService::warm_start(store::SelectionStore& store,
                                          const perf::DeviceSpec& device) {
   store_ = &store;
-  device_ = device;
-  device_fingerprint_ = device.fingerprint();
+  device_ = store::DeviceProfileRecord::from_spec(device);
   // Record our own profile so entries flushed from this run are
   // transferable to *other* devices later.
-  store.put_device(device);
+  store.put_profile(device_);
 
   const auto& configs = gemm::enumerate_configs();
   std::size_t seeded = 0;
   for (const store::SelectionRecord& record : store.selections()) {
-    if (record.device_fingerprint != device_fingerprint_) continue;
+    if (record.device_fingerprint != device_.fingerprint) continue;
     // A decision for a config this service no longer ships re-tunes on
     // first request (and the fresh record supersedes it); never resurrect.
     if (!shipped_.empty() &&
@@ -430,7 +429,7 @@ std::size_t SelectionService::warm_start(store::SelectionStore& store,
 
 bool SelectionService::try_transfer_prior(
     const gemm::GemmShape& shape, const std::shared_ptr<Entry>& entry) {
-  const auto prior = store_->lookup_transfer(*device_, shape);
+  const auto prior = store_->lookup_transfer(device_, shape);
   if (!prior.has_value()) return false;
 
   const gemm::KernelConfig config =
@@ -447,7 +446,7 @@ bool SelectionService::try_transfer_prior(
   // Persist the adoption under *our* fingerprint, tagged kTransfer so a
   // later warm_start still knows it is due a local re-tune.
   store::SelectionRecord record = prior->record;
-  record.device_fingerprint = device_fingerprint_;
+  record.device_fingerprint = device_.fingerprint;
   record.source = store::Source::kTransfer;
   record.sweeps = 0;
   (void)store_->put(std::move(record));
@@ -458,7 +457,7 @@ std::optional<store::SelectionRecord> SelectionService::make_record(
     const gemm::GemmShape& shape, const gemm::KernelConfig& config,
     double seconds) const {
   store::SelectionRecord record;
-  record.device_fingerprint = device_fingerprint_;
+  record.device_fingerprint = device_.fingerprint;
   record.shape = shape;
   try {
     record.config_index =

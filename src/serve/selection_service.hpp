@@ -69,6 +69,7 @@
 #include "gemm/config.hpp"
 #include "gemm/shape.hpp"
 #include "perfmodel/device_spec.hpp"
+#include "store/record.hpp"
 
 namespace aks::common {
 class ThreadPool;
@@ -81,8 +82,6 @@ class OnlineTuner;
 
 namespace aks::store {
 class SelectionStore;
-struct SelectionRecord;
-enum class Source : std::uint8_t;
 }  // namespace aks::store
 
 namespace aks::serve {
@@ -301,8 +300,9 @@ class SelectionService {
   /// Provenance tag for write-behind records (which layer this service
   /// wraps); set by the typed constructors, kOnlineTuner by default.
   store::Source record_source_{};
-  std::optional<perf::DeviceSpec> device_;
-  std::uint64_t device_fingerprint_ = 0;
+  /// The running device's profile, built once by warm_start(): its
+  /// fingerprint keys every record, and transfer lookups rank against it.
+  store::DeviceProfileRecord device_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::size_t shard_mask_ = 0;
   mutable aks::Mutex sync_mutex_{"serve.hit_sync"};

@@ -20,7 +20,10 @@
 // JournalWriter re-runs that recovery on open — the file is truncated back
 // to its last valid record before new appends — so a process that crashed
 // mid-write self-heals on restart instead of appending unreadable records
-// after the torn tail. Each append probes faults::Site::kStoreWrite
+// after the torn tail. Recovery reads the whole file, so it runs once per
+// open, not per append: SelectionStore opens one writer at its first flush
+// and keeps it, reopening only after a failed append or a compaction.
+// Each append probes faults::Site::kStoreWrite
 // (write-failure: nothing lands, the append throws; torn-write: a prefix
 // lands, the writer is poisoned exactly like a real crash). Compaction
 // writes a fresh journal beside the target and publishes it with an atomic
@@ -103,8 +106,8 @@ class JournalWriter {
   std::uint64_t path_key_ = 0;  ///< digest of the path, part of fault keys
   // Guards the append-side state (the counters used to be mutated bare and
   // appended() read them unlocked — the annotation pass pinned that down).
-  // Ordered after store.state: SelectionStore::flush() appends while
-  // holding its own mutex.
+  // Ordered after store.flush: SelectionStore::flush() and compact() write
+  // holding that lock, never store.state.
   mutable aks::Mutex mutex_{"store.journal"};
   /// absolute index for deterministic keys
   std::size_t record_index_ AKS_GUARDED_BY(mutex_) = 0;

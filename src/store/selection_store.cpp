@@ -35,9 +35,6 @@ SelectionStore::SelectionStore(std::filesystem::path path,
       ++stats_.rejected_malformed;
     }
   }
-  // Loading replays history, it does not create new dirt.
-  dirty_.clear();
-  dirty_devices_.clear();
 }
 
 bool SelectionStore::put_locked(SelectionRecord record, bool from_load) {
@@ -80,10 +77,8 @@ bool SelectionStore::put_locked(SelectionRecord record, bool from_load) {
 
   const Key key{record.device_fingerprint, record.shape};
   selections_[key] = record;
-  if (!from_load &&
-      std::find(dirty_.begin(), dirty_.end(), key) == dirty_.end()) {
-    dirty_.push_back(key);
-  }
+  // Loading replays history, it does not create new dirt.
+  if (!from_load) dirty_.mark(key);
   return true;
 }
 
@@ -96,11 +91,9 @@ std::optional<SelectionRecord> SelectionStore::lookup(
 }
 
 std::optional<SelectionStore::TransferPrior> SelectionStore::lookup_transfer(
-    const perf::DeviceSpec& device, const gemm::GemmShape& shape) const {
+    const DeviceProfileRecord& device, const gemm::GemmShape& shape) const {
   aks::MutexLock lock(mutex_);
   ++stats_.transfer_lookups;
-  const std::uint64_t own = device.fingerprint();
-  const auto own_features = device.similarity_features();
 
   struct Ranked {
     double similarity;
@@ -109,9 +102,9 @@ std::optional<SelectionStore::TransferPrior> SelectionStore::lookup_transfer(
   std::vector<Ranked> ranked;
   ranked.reserve(devices_.size());
   for (const auto& [fingerprint, profile] : devices_) {
-    if (fingerprint == own) continue;
+    if (fingerprint == device.fingerprint) continue;
     ranked.push_back(
-        {feature_similarity(own_features, profile.features), &profile});
+        {feature_similarity(device.features, profile.features), &profile});
   }
   std::sort(ranked.begin(), ranked.end(), [](const Ranked& a, const Ranked& b) {
     if (a.similarity != b.similarity) return a.similarity > b.similarity;
@@ -152,91 +145,142 @@ void SelectionStore::put_profile(DeviceProfileRecord profile) {
   const auto it = devices_.find(fingerprint);
   const bool changed = it == devices_.end() || !(it->second == profile);
   devices_[fingerprint] = std::move(profile);
-  if (changed && std::find(dirty_devices_.begin(), dirty_devices_.end(),
-                           fingerprint) == dirty_devices_.end()) {
-    dirty_devices_.push_back(fingerprint);
-  }
+  if (changed) dirty_devices_.mark(fingerprint);
 }
 
-std::size_t SelectionStore::flush() {
-  aks::MutexLock lock(mutex_);
-  if (dirty_.empty() && dirty_devices_.empty()) return 0;
-
-  trace::Span span;
-  if (trace::enabled()) {
-    span.arm("store.flush",
-             {trace::arg("dirty", dirty_.size() + dirty_devices_.size())});
+SelectionStore::Batch SelectionStore::take_dirty_locked() {
+  Batch batch;
+  for (const std::uint64_t fingerprint : dirty_devices_.take()) {
+    batch.profiles.push_back(devices_.at(fingerprint));
   }
-  JournalWriter writer(path_);
-  std::size_t persisted = 0;
-  std::vector<std::uint8_t> payload;
-  try {
-    // Profiles first: a reader of a partially flushed journal can then
-    // always resolve the fingerprints of the selections that follow.
-    while (!dirty_devices_.empty()) {
-      payload.clear();
-      encode(devices_.at(dirty_devices_.front()), payload);
-      writer.append(RecordKind::kDeviceProfile, payload);
-      dirty_devices_.erase(dirty_devices_.begin());
-      ++persisted;
-    }
-    while (!dirty_.empty()) {
-      payload.clear();
-      encode(selections_.at(dirty_.front()), payload);
-      writer.append(RecordKind::kSelection, payload);
-      dirty_.erase(dirty_.begin());
-      ++persisted;
-    }
-  } catch (const common::Error&) {
-    // The persisted prefix is durable; the failed record and everything
-    // after it stay dirty, so a retry after the fault resolves no-ops the
-    // already-flushed entries and re-attempts the rest.
-    stats_.appended += persisted;
-    ++stats_.write_failures;
-    span.annotate(trace::arg("outcome", "failed"));
-    span.annotate(trace::arg("persisted", persisted));
-    throw;
+  for (const Key& key : dirty_.take()) {
+    batch.selections.push_back(selections_.at(key));
   }
-  stats_.appended += persisted;
-  span.annotate(trace::arg("persisted", persisted));
-  return persisted;
+  in_flight_ = batch.size();
+  return batch;
 }
 
-std::vector<RawRecord> SelectionStore::live_records_locked() const {
-  std::vector<RawRecord> records;
-  records.reserve(devices_.size() + selections_.size());
-  for (const auto& [fingerprint, profile] : devices_) {
-    RawRecord raw;
-    raw.kind = RecordKind::kDeviceProfile;
-    encode(profile, raw.payload);
-    records.push_back(std::move(raw));
+void SelectionStore::settle_locked(const Batch& batch, std::size_t written) {
+  in_flight_ = 0;
+  std::vector<std::uint64_t> devices;
+  for (std::size_t i = written; i < batch.profiles.size(); ++i) {
+    devices.push_back(batch.profiles[i].fingerprint);
   }
-  for (const auto& [key, record] : selections_) {
-    RawRecord raw;
+  std::vector<Key> keys;
+  const std::size_t first = written > batch.profiles.size()
+                                ? written - batch.profiles.size()
+                                : 0;
+  for (std::size_t i = first; i < batch.selections.size(); ++i) {
+    keys.emplace_back(batch.selections[i].device_fingerprint,
+                      batch.selections[i].shape);
+  }
+  dirty_devices_.requeue_front(std::move(devices));
+  dirty_.requeue_front(std::move(keys));
+}
+
+namespace {
+
+/// Encodes `profiles` then `selections`: profiles first, so a reader of a
+/// partially written journal can always resolve the fingerprints of the
+/// selections that follow.
+std::vector<RawRecord> encode_records(
+    const std::vector<DeviceProfileRecord>& profiles,
+    const std::vector<SelectionRecord>& selections) {
+  std::vector<RawRecord> records(profiles.size() + selections.size());
+  for (std::size_t i = 0; i < profiles.size(); ++i) {
+    records[i].kind = RecordKind::kDeviceProfile;
+    encode(profiles[i], records[i].payload);
+  }
+  for (std::size_t i = 0; i < selections.size(); ++i) {
+    RawRecord& raw = records[profiles.size() + i];
     raw.kind = RecordKind::kSelection;
-    encode(record, raw.payload);
-    records.push_back(std::move(raw));
+    encode(selections[i], raw.payload);
   }
   return records;
 }
 
-void SelectionStore::compact() {
-  aks::MutexLock lock(mutex_);
+}  // namespace
+
+std::size_t SelectionStore::flush() {
+  aks::MutexLock flush_lock(flush_mutex_);
+  Batch batch;
+  {
+    aks::MutexLock lock(mutex_);
+    batch = take_dirty_locked();
+  }
+  if (batch.size() == 0) return 0;
+
   trace::Span span;
   if (trace::enabled()) {
-    span.arm("store.compact",
-             {trace::arg("live", devices_.size() + selections_.size())});
+    span.arm("store.flush", {trace::arg("dirty", batch.size())});
   }
+  std::size_t persisted = 0;
   try {
-    compact_journal(path_, live_records_locked());
-  } catch (const common::Error&) {
-    ++stats_.write_failures;
+    if (!writer_) writer_.emplace(path_);
+    for (const RawRecord& raw :
+         encode_records(batch.profiles, batch.selections)) {
+      writer_->append(raw.kind, raw.payload);
+      ++persisted;
+    }
+  } catch (...) {
+    // The persisted prefix is durable; the failed record and everything
+    // after it stay dirty, so a retry re-attempts exactly the rest. A failed
+    // append may have left a torn frame, so the retry reopens the writer,
+    // which truncates it first.
+    writer_.reset();
+    {
+      aks::MutexLock lock(mutex_);
+      settle_locked(batch, persisted);
+      stats_.appended += persisted;
+      ++stats_.write_failures;
+    }
+    span.annotate(trace::arg("outcome", "failed"));
+    span.annotate(trace::arg("persisted", persisted));
+    throw;
+  }
+  {
+    aks::MutexLock lock(mutex_);
+    settle_locked(batch, persisted);
+    stats_.appended += persisted;
+  }
+  span.annotate(trace::arg("persisted", persisted));
+  return persisted;
+}
+
+void SelectionStore::compact() {
+  aks::MutexLock flush_lock(flush_mutex_);
+  Batch dirty;
+  Batch live;
+  {
+    aks::MutexLock lock(mutex_);
+    // The rewrite persists the full live set, dirty entries included.
+    dirty = take_dirty_locked();
+    for (const auto& [fingerprint, profile] : devices_) {
+      live.profiles.push_back(profile);
+    }
+    for (const auto& [key, record] : selections_) {
+      live.selections.push_back(record);
+    }
+  }
+  trace::Span span;
+  if (trace::enabled()) {
+    span.arm("store.compact", {trace::arg("live", live.size())});
+  }
+  // A kept writer would go on appending to the old file after the rename.
+  writer_.reset();
+  try {
+    compact_journal(path_, encode_records(live.profiles, live.selections));
+  } catch (...) {
+    {
+      aks::MutexLock lock(mutex_);
+      settle_locked(dirty, 0);
+      ++stats_.write_failures;
+    }
     span.annotate(trace::arg("outcome", "failed"));
     throw;
   }
-  // The rewrite persisted the full live set, dirty entries included.
-  dirty_.clear();
-  dirty_devices_.clear();
+  aks::MutexLock lock(mutex_);
+  settle_locked(dirty, dirty.size());
 }
 
 std::vector<SelectionRecord> SelectionStore::selections() const {
@@ -266,7 +310,7 @@ std::size_t SelectionStore::merge_from(const SelectionStore& other) {
   for (const DeviceProfileRecord& profile : other_devices) {
     if (devices_.contains(profile.fingerprint)) continue;
     devices_[profile.fingerprint] = profile;
-    dirty_devices_.push_back(profile.fingerprint);
+    dirty_devices_.mark(profile.fingerprint);
     ++adopted;
   }
   for (const SelectionRecord& record : other_selections) {
@@ -282,7 +326,7 @@ StoreStats SelectionStore::stats() const {
   StoreStats stats = stats_;
   stats.selections = selections_.size();
   stats.devices = devices_.size();
-  stats.dirty = dirty_.size() + dirty_devices_.size();
+  stats.dirty = dirty_.size() + dirty_devices_.size() + in_flight_;
   return stats;
 }
 

@@ -22,9 +22,14 @@
 // Lawson's follow-up paper. Callers count it and re-tune in the background
 // (serve::SelectionService::refresh_provisional).
 //
-// All public methods are thread-safe (one mutex; the store sits behind the
-// serving layer's single-flight warm-up, so it is never on the per-request
-// hot path).
+// All public methods are thread-safe. Two locks split memory from disk:
+// store.state guards the maps and dirty queues and is a leaf — no file I/O
+// and no other lock is taken under it — so lookups, put() and put_batch()
+// never wait on the disk. store.flush serialises flush() and compact():
+// each swaps its work out under store.state, then encodes and writes
+// holding store.flush alone. The journal writer opens at the first flush
+// that has records to write and stays open, so a store that is only read
+// never opens, creates or truncates its file.
 #pragma once
 
 #include <cstdint>
@@ -32,6 +37,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -105,9 +111,11 @@ class SelectionStore {
   /// Nearest-device prior for a shape the running device has no entry for:
   /// stored profiles are ranked by similarity to `device` (descending,
   /// name-tiebroken for determinism) and the closest one holding the shape
-  /// wins. Returns nullopt when no stored device has the shape.
+  /// wins. Returns nullopt when no stored device has the shape. `device` is
+  /// the running device's precomputed profile (DeviceProfileRecord::
+  /// from_spec), so a miss never re-derives its fingerprint or features.
   [[nodiscard]] std::optional<TransferPrior> lookup_transfer(
-      const perf::DeviceSpec& device, const gemm::GemmShape& shape) const;
+      const DeviceProfileRecord& device, const gemm::GemmShape& shape) const;
 
   /// Upserts a selection (write-behind; call flush() to persist). Fills an
   /// empty cert_digest from the expected-digest table when one is
@@ -124,19 +132,23 @@ class SelectionStore {
 
   /// Upserts the device profile that makes this fingerprint transferable.
   void put_device(const perf::DeviceSpec& spec);
-  /// Upserts a raw persisted profile (import/merge path; prefer put_device
-  /// when a live DeviceSpec is at hand).
+  /// Upserts a persisted profile: the import/merge path, or a profile a
+  /// caller already built with DeviceProfileRecord::from_spec.
   void put_profile(DeviceProfileRecord profile);
 
   /// Appends every dirty record to the journal; returns how many were
-  /// persisted. On a write failure the persisted prefix is clean, the rest
-  /// stays dirty for retry, and the error propagates (callers on the
-  /// serving path catch and degrade — losing warm-start data must never
-  /// take serving down).
+  /// persisted. The dirty batch is taken in one swap, so records put while
+  /// it is written stay dirty for the next flush. On a write failure the
+  /// persisted prefix is clean, the failed record and everything after it
+  /// are queued again ahead of anything dirtied meanwhile, the writer is
+  /// dropped (the next flush reopens it and recovers a torn tail), and the
+  /// error propagates (callers on the serving path catch and degrade —
+  /// losing warm-start data must never take serving down).
   std::size_t flush();
 
   /// Rewrites the journal to exactly the live set (atomic rename), folding
-  /// superseded appends away. Flushes dirty entries as part of the rewrite.
+  /// superseded appends away. Flushes dirty entries as part of the rewrite;
+  /// records put while it writes stay dirty.
   void compact();
 
   /// Live selections, ordered by (fingerprint, shape) for determinism.
@@ -153,24 +165,81 @@ class SelectionStore {
 
  private:
   using Key = std::pair<std::uint64_t, gemm::GemmShape>;
+  struct KeyHash {
+    std::size_t operator()(const Key& key) const noexcept {
+      return std::hash<std::uint64_t>{}(key.first) ^
+             std::hash<gemm::GemmShape>{}(key.second);
+    }
+  };
+
+  /// Insertion-ordered set of dirty keys: mark() is O(1) and leaves a key
+  /// that is already queued in its place; take() hands over the whole
+  /// queue, oldest first.
+  template <typename K, typename Hash = std::hash<K>>
+  class DirtyQueue {
+   public:
+    void mark(const K& key) {
+      if (index_.insert(key).second) order_.push_back(key);
+    }
+    [[nodiscard]] std::size_t size() const { return order_.size(); }
+    std::vector<K> take() {
+      index_.clear();
+      return std::exchange(order_, {});
+    }
+    /// Queues `keys` (taken earlier, never written) again, ahead of every
+    /// key marked since; one that was also marked meanwhile is queued once,
+    /// in its front place.
+    void requeue_front(std::vector<K> keys) {
+      if (keys.empty()) return;
+      std::unordered_set<K, Hash> requeued(keys.begin(), keys.end());
+      for (const K& key : order_) {
+        if (!requeued.contains(key)) keys.push_back(key);
+      }
+      index_.merge(requeued);
+      order_ = std::move(keys);
+    }
+
+   private:
+    std::vector<K> order_;
+    std::unordered_set<K, Hash> index_;
+  };
+
+  /// Records in journal order (profiles first), copied out under
+  /// store.state so they can be encoded and written without it.
+  struct Batch {
+    std::vector<DeviceProfileRecord> profiles;
+    std::vector<SelectionRecord> selections;
+    [[nodiscard]] std::size_t size() const {
+      return profiles.size() + selections.size();
+    }
+  };
 
   bool put_locked(SelectionRecord record, bool from_load)
       AKS_REQUIRES(mutex_);
-  [[nodiscard]] std::vector<RawRecord> live_records_locked() const
+  /// Swaps both dirty queues out as one batch, counted in flight.
+  [[nodiscard]] Batch take_dirty_locked() AKS_REQUIRES(mutex_);
+  /// Ends a flush or compact of `batch` that wrote its first `written`
+  /// records: the rest are queued again ahead of anything dirtied meanwhile.
+  void settle_locked(const Batch& batch, std::size_t written)
       AKS_REQUIRES(mutex_);
 
   std::filesystem::path path_;
   StoreOptions options_;
 
-  // Lock order: store.state ("store.state") before the journal's own
-  // store.journal mutex — flush()/compact() append while holding mutex_.
+  // Lock order: store.flush before store.state; store.state is a leaf.
+  aks::Mutex flush_mutex_{"store.flush"};
+  /// Opened by the first flush() with records to write and kept; dropped
+  /// after a failed append and before compact() renames over path_.
+  std::optional<JournalWriter> writer_ AKS_GUARDED_BY(flush_mutex_);
+
   mutable aks::Mutex mutex_{"store.state"};
   std::map<Key, SelectionRecord> selections_ AKS_GUARDED_BY(mutex_);
   std::map<std::uint64_t, DeviceProfileRecord> devices_ AKS_GUARDED_BY(mutex_);
-  /// selection keys to flush
-  std::vector<Key> dirty_ AKS_GUARDED_BY(mutex_);
-  /// profile keys to flush
-  std::vector<std::uint64_t> dirty_devices_ AKS_GUARDED_BY(mutex_);
+  DirtyQueue<Key, KeyHash> dirty_ AKS_GUARDED_BY(mutex_);
+  DirtyQueue<std::uint64_t> dirty_devices_ AKS_GUARDED_BY(mutex_);
+  /// Records taken by a flush or compact that is still writing them; they
+  /// count as dirty until it settles.
+  std::size_t in_flight_ AKS_GUARDED_BY(mutex_) = 0;
   /// mutable: const lookups still count (transfer_lookups/hits telemetry).
   mutable StoreStats stats_ AKS_GUARDED_BY(mutex_);
 };

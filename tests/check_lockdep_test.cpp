@@ -245,9 +245,10 @@ TEST(Lockdep, DrillWithTracingStaysClean) {
   // The graph is exactly DESIGN.md "Ordering ranks" — every sanctioned
   // nesting and nothing else — so the document and the code cannot drift.
   EXPECT_EQ(edge_names(report),
-            (std::vector<std::string>{"store.state -> store.journal",
-                                      "store.state -> trace.impl",
-                                      "store.state -> trace.session",
+            (std::vector<std::string>{"store.flush -> store.journal",
+                                      "store.flush -> store.state",
+                                      "store.flush -> trace.impl",
+                                      "store.flush -> trace.session",
                                       "trace.session -> trace.impl"}));
   reset();
 }

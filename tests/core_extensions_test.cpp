@@ -9,6 +9,7 @@
 #include "core/evaluation.hpp"
 #include "core/pipeline.hpp"
 #include "dataset/benchmark_runner.hpp"
+#include "faults/injector.hpp"
 
 namespace aks::select {
 namespace {
@@ -16,6 +17,9 @@ namespace {
 class ExtensionsTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
+    // Paper-figure numerics need the fault-free dataset, also when CI
+    // exports an AKS_FAULT_PLAN over the whole suite.
+    const faults::ScopedFaultPlan no_faults{faults::FaultPlan::none()};
     data::ExtractionOptions extraction;
     extraction.vgg_batches = {1};
     extraction.resnet_batches = {1};

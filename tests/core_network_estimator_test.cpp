@@ -3,6 +3,7 @@
 #include "core/network_estimator.hpp"
 #include "core/pipeline.hpp"
 #include "dataset/benchmark_runner.hpp"
+#include "faults/injector.hpp"
 
 namespace aks::select {
 namespace {
@@ -10,6 +11,9 @@ namespace {
 class NetworkEstimatorTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
+    // Paper-figure numerics need the fault-free dataset, also when CI
+    // exports an AKS_FAULT_PLAN over the whole suite.
+    const faults::ScopedFaultPlan no_faults{faults::FaultPlan::none()};
     const auto dataset = data::build_paper_dataset();
     PipelineOptions options;
     options.num_configs = 8;

@@ -9,6 +9,7 @@
 #include "core/codegen.hpp"
 #include "core/pipeline.hpp"
 #include "dataset/benchmark_runner.hpp"
+#include "faults/injector.hpp"
 #include "gemm/reference.hpp"
 #include "gemm/registry.hpp"
 #include "ml/pca.hpp"
@@ -20,6 +21,9 @@ namespace {
 class PipelineTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
+    // Paper-figure numerics need the fault-free dataset, also when CI
+    // exports an AKS_FAULT_PLAN over the whole suite.
+    const faults::ScopedFaultPlan no_faults{faults::FaultPlan::none()};
     dataset_ = new data::PerfDataset(data::build_paper_dataset());
   }
   static void TearDownTestSuite() {

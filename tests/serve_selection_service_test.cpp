@@ -5,9 +5,11 @@
 // ThreadSanitizer in CI (the tsan job).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <set>
@@ -299,7 +301,8 @@ TEST(SelectionService, ColdPathLedgerCoversPublishAndStoreEnqueue) {
   // the measured warm mean: the cold path does a strict superset of the
   // warm path's work (entry allocation, publish, record validation and
   // store insert). Pre-fix, the cold sample was just the trivial function
-  // call and sat well below a warm cache hit.
+  // call and sat well below a warm cache hit. The warm side is the fastest
+  // of several timed passes, so one host preemption cannot inflate it.
   const auto store_path = std::filesystem::temp_directory_path() /
                           "aks_warm_le_cold.journal";
   std::filesystem::remove(store_path);
@@ -313,12 +316,15 @@ TEST(SelectionService, ColdPathLedgerCoversPublishAndStoreEnqueue) {
   const auto shapes = test_shapes(512);
   for (const auto& shape : shapes) (void)service.select(shape);  // all cold
 
-  // Prime, then time one full warm pass.
+  // Prime, then keep the fastest of several timed warm passes.
   for (const auto& shape : shapes) (void)service.select(shape);
-  common::Timer timer;
-  for (const auto& shape : shapes) (void)service.select(shape);
-  const double warm_mean =
-      timer.elapsed_seconds() / static_cast<double>(shapes.size());
+  double warm_mean = std::numeric_limits<double>::infinity();
+  for (int pass = 0; pass < 5; ++pass) {
+    common::Timer timer;
+    for (const auto& shape : shapes) (void)service.select(shape);
+    warm_mean = std::min(warm_mean, timer.elapsed_seconds() /
+                                        static_cast<double>(shapes.size()));
+  }
 
   const auto stats = service.stats();
   ASSERT_GE(stats.misses, shapes.size());

@@ -1,13 +1,20 @@
 // SelectionStore: load/put/flush/compact round-trips, certificate gating,
-// merge, cross-device transfer ranking — and the serving-layer warm-start
-// contract: a warm-started service serves every stored shape with zero
-// warm-up sweeps and identical configs, and transfer priors are published
-// immediately then replaced by refresh_provisional().
+// merge, cross-device transfer ranking, the lifecycle of the store's one
+// long-lived journal writer, and put/flush/compact racing each other — and
+// the serving-layer warm-start contract: a warm-started service serves
+// every stored shape with zero warm-up sweeps and identical configs, and
+// transfer priors are published immediately then replaced by
+// refresh_provisional().
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
@@ -50,6 +57,11 @@ double fake_time(const gemm::KernelConfig& config,
   return 1.0 + 0.001 * static_cast<double>((index * 31 + shape.m * 7 +
                                             shape.k * 3 + shape.n) %
                                            97);
+}
+
+std::vector<char> file_bytes(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
 }
 
 std::vector<gemm::GemmShape> test_shapes(std::size_t n) {
@@ -241,14 +253,14 @@ TEST(SelectionStore, TransferRanksStoredDevicesBySimilarity) {
 
   const auto nano_profile = DeviceProfileRecord::from_spec(nano);
   const auto embedded_profile = DeviceProfileRecord::from_spec(embedded);
-  const auto igpu_features = igpu.similarity_features();
+  const auto igpu_profile = DeviceProfileRecord::from_spec(igpu);
   const double to_nano =
-      feature_similarity(igpu_features, nano_profile.features);
+      feature_similarity(igpu_profile.features, nano_profile.features);
   const double to_embedded =
-      feature_similarity(igpu_features, embedded_profile.features);
+      feature_similarity(igpu_profile.features, embedded_profile.features);
   ASSERT_NE(to_nano, to_embedded);  // the corpus devices are distinct
 
-  const auto prior = store.lookup_transfer(igpu, shape);
+  const auto prior = store.lookup_transfer(igpu_profile, shape);
   ASSERT_TRUE(prior.has_value());
   const bool nano_nearer = to_nano > to_embedded;
   EXPECT_EQ(prior->record.config_index, nano_nearer ? 10u : 20u);
@@ -261,11 +273,12 @@ TEST(SelectionStore, TransferRanksStoredDevicesBySimilarity) {
   EXPECT_TRUE(store.put(make_record(
       nano_nearer ? embedded.fingerprint() : nano.fingerprint(), only_far,
       30)));
-  EXPECT_EQ(store.lookup_transfer(igpu, only_far)->record.config_index, 30u);
-  EXPECT_FALSE(store.lookup_transfer(igpu, {5, 5, 5}).has_value());
+  EXPECT_EQ(
+      store.lookup_transfer(igpu_profile, only_far)->record.config_index, 30u);
+  EXPECT_FALSE(store.lookup_transfer(igpu_profile, {5, 5, 5}).has_value());
   // Own-fingerprint records never transfer to themselves.
   EXPECT_TRUE(store.put(make_record(igpu.fingerprint(), {6, 6, 6}, 40)));
-  EXPECT_FALSE(store.lookup_transfer(igpu, {6, 6, 6}).has_value());
+  EXPECT_FALSE(store.lookup_transfer(igpu_profile, {6, 6, 6}).has_value());
 
   const auto stats = store.stats();
   EXPECT_EQ(stats.transfer_lookups, 4u);
@@ -530,6 +543,173 @@ TEST(StoreWarmStart, FlushFailureKeepsRecordsDirtyForRetry) {
   }
   const SelectionStore reopened(path);
   EXPECT_EQ(reopened.stats().selections, 2u);
+  std::filesystem::remove(path);
+}
+
+
+// -- The long-lived journal writer. The store opens one JournalWriter at its
+// first flush and keeps it; each case pins a hazard of keeping it.
+
+// compact() renames a fresh file over the journal. A writer kept across the
+// rename would append the second record to the unlinked old file.
+TEST(SelectionStore, FlushAfterCompactLandsInTheCompactedJournal) {
+  faults::ScopedFaultPlan no_faults{faults::FaultPlan::none()};
+  const auto path = temp_path("compact_then_flush.aks");
+  {
+    SelectionStore store(path);
+    EXPECT_TRUE(store.put(make_record(1, {8, 8, 8}, 10)));
+    EXPECT_EQ(store.flush(), 1u);
+    store.compact();
+    EXPECT_TRUE(store.put(make_record(1, {9, 9, 9}, 20)));
+    EXPECT_EQ(store.flush(), 1u);
+  }
+  const SelectionStore reopened(path);
+  EXPECT_EQ(reopened.stats().selections, 2u);
+  EXPECT_EQ(reopened.lookup(1, {8, 8, 8})->config_index, 10u);
+  EXPECT_EQ(reopened.lookup(1, {9, 9, 9})->config_index, 20u);
+  std::filesystem::remove(path);
+}
+
+// A torn append poisons the writer; the store drops it, so the retry opens
+// a new one, which truncates the torn frame before appending.
+TEST(SelectionStore, TornFlushRetryReopensTheWriterAndRecovers) {
+  const auto path = temp_path("torn_retry.aks");
+  SelectionStore store(path);
+  store.put_device(perf::DeviceSpec::amd_r9_nano());
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    EXPECT_TRUE(store.put(make_record(1, {8 + i, 8, 8}, 10 + i)));
+  }
+  {
+    faults::ScopedFaultPlan plan{faults::FaultPlan::parse("store-torn=1")};
+    EXPECT_THROW(store.flush(), common::Error);
+  }
+  EXPECT_EQ(store.stats().dirty, 5u);
+  EXPECT_EQ(store.stats().write_failures, 1u);
+  {
+    faults::ScopedFaultPlan none{faults::FaultPlan::none()};
+    EXPECT_EQ(store.flush(), 5u);
+  }
+  EXPECT_EQ(store.stats().dirty, 0u);
+  const SelectionStore reopened(path);
+  EXPECT_EQ(reopened.stats().corrupt_tail_records, 0u);
+  EXPECT_EQ(reopened.stats().records_loaded, 5u);
+  EXPECT_EQ(reopened.stats().selections, 4u);
+  EXPECT_EQ(reopened.stats().devices, 1u);
+  std::filesystem::remove(path);
+}
+
+// A store that is only read never opens its writer: the torn tail stays on
+// disk (the next writing process recovers it), and a missing journal is
+// never created.
+TEST(SelectionStore, ReadOnlyOpenLeavesTheJournalByteIdentical) {
+  faults::ScopedFaultPlan no_faults{faults::FaultPlan::none()};
+  const auto path = temp_path("read_only.aks");
+  {
+    SelectionStore store(path);
+    EXPECT_TRUE(store.put(make_record(1, {8, 8, 8}, 10)));
+    EXPECT_TRUE(store.put(make_record(1, {9, 9, 9}, 20)));
+    store.flush();
+  }
+  std::filesystem::resize_file(path, std::filesystem::file_size(path) - 3);
+  const auto before = file_bytes(path);
+  {
+    SelectionStore store(path);
+    EXPECT_EQ(store.stats().corrupt_tail_records, 1u);
+    EXPECT_EQ(store.stats().selections, 1u);
+    EXPECT_TRUE(store.lookup(1, {8, 8, 8}).has_value());
+    EXPECT_EQ(store.flush(), 0u);  // nothing dirty: the file is not opened
+  }
+  EXPECT_EQ(file_bytes(path), before);
+
+  const auto missing = temp_path("never_written.aks");
+  { const SelectionStore store(missing); }
+  EXPECT_FALSE(std::filesystem::exists(missing));
+  std::filesystem::remove(path);
+}
+
+TEST(SelectionStore, RepeatedPutsOfOneKeyAppendOneRecord) {
+  faults::ScopedFaultPlan no_faults{faults::FaultPlan::none()};
+  const auto path = temp_path("one_key.aks");
+  {
+    SelectionStore store(path);
+    for (std::uint32_t i = 0; i < 10000; ++i) {
+      EXPECT_TRUE(store.put(make_record(1, {8, 8, 8}, i % 640)));
+    }
+    EXPECT_EQ(store.stats().dirty, 1u);
+    EXPECT_EQ(store.flush(), 1u);
+    EXPECT_EQ(store.stats().appended, 1u);
+  }
+  const SelectionStore reopened(path);
+  EXPECT_EQ(reopened.stats().records_loaded, 1u);
+  EXPECT_EQ(reopened.lookup(1, {8, 8, 8})->config_index, 9999u % 640);
+  std::filesystem::remove(path);
+}
+
+// Writers and readers race one flushing thread and one compacting thread.
+// Every record put while a flush or compact writes stays dirty, so after a
+// final flush the journal replays to exactly the live set: last record per
+// key wins, nothing lost, no torn tail.
+TEST(SelectionStoreConcurrency, PutsRacingFlushAndCompactAreNeverLost) {
+  faults::ScopedFaultPlan no_faults{faults::FaultPlan::none()};
+  const auto path = temp_path("concurrency.aks");
+  const auto nano = perf::DeviceSpec::amd_r9_nano();
+  const auto embedded = perf::DeviceSpec::embedded_accelerator();
+  const auto igpu = DeviceProfileRecord::from_spec(
+      perf::DeviceSpec::integrated_gpu());
+  constexpr std::uint32_t kWriters = 4;
+  constexpr std::uint32_t kMinWaves = 200;
+  constexpr int kCompactions = 20;
+  constexpr std::uint32_t kKeys = 96;  // per device, shared by its writers
+
+  SelectionStore store(path);
+  store.put_device(nano);
+  std::atomic<int> compactions{0};
+  std::atomic<std::uint32_t> writers_left{kWriters};
+  std::vector<std::thread> threads;
+  for (std::uint32_t t = 0; t < kWriters; ++t) {
+    threads.emplace_back([&, t] {
+      const std::uint64_t fingerprint =
+          t % 2 == 0 ? nano.fingerprint() : embedded.fingerprint();
+      // Keep writing until every compaction has raced some puts.
+      for (std::uint32_t wave = 0;
+           wave < kMinWaves || compactions.load() < kCompactions; ++wave) {
+        std::vector<SelectionRecord> records;
+        for (std::uint32_t i = 0; i < 8; ++i) {
+          const std::uint32_t key = (wave * 8 + i + 17 * t) % kKeys;
+          records.push_back(make_record(fingerprint, {8 + key, 16, 32},
+                                        (wave + i + 13 * t) % 640));
+        }
+        EXPECT_EQ(store.put_batch(std::move(records)), 8u);
+        (void)store.lookup_transfer(igpu, {8 + wave % kKeys, 16, 32});
+        if (wave == kMinWaves / 2) store.put_device(embedded);
+      }
+      writers_left.fetch_sub(1);
+    });
+  }
+  threads.emplace_back([&] {
+    while (writers_left.load() > 0) {
+      (void)store.flush();
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+  });
+  threads.emplace_back([&] {
+    for (int i = 0; i < kCompactions; ++i) {
+      store.compact();
+      compactions.fetch_add(1);
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  });
+  for (auto& thread : threads) thread.join();
+  (void)store.flush();
+
+  EXPECT_EQ(store.stats().dirty, 0u);
+  EXPECT_EQ(store.stats().write_failures, 0u);
+  const SelectionStore reopened(path);
+  EXPECT_EQ(reopened.stats().corrupt_tail_records, 0u);
+  EXPECT_EQ(reopened.selections(), store.selections());
+  EXPECT_EQ(reopened.devices(), store.devices());
+  EXPECT_EQ(reopened.stats().selections, 2 * kKeys);
+  EXPECT_EQ(reopened.stats().devices, 2u);
   std::filesystem::remove(path);
 }
 

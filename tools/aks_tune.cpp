@@ -570,6 +570,9 @@ void print_usage() {
 }
 
 int run(const std::string& command, const Args& args) {
+  // Load AKS_FAULT_PLAN before any work, so a malformed plan exits 1 here
+  // rather than being swallowed by the first tuner trial that probes it.
+  (void)faults::plan_active();
   // Install the fault plan before any command runs so every layer
   // (dataset runner, tuner, serving) sees the same plan for the whole
   // process; takes precedence over the AKS_FAULT_PLAN environment plan.
