@@ -17,10 +17,12 @@
 // Race attribution requires the deterministic replay executor
 // (`Queue::set_deterministic_replay(true)`): groups then execute serially
 // in canonical order, the instrumentation context identifies the current
-// group, and the shadow state needs no synchronisation. Work-items within
-// a group always run sequentially, so intra-group reuse is never a race —
-// mirroring the SYCL memory model, where cross-group coherence is the only
-// thing a kernel cannot assume.
+// group, and the shadow state needs no synchronisation. The work-items of
+// a group run on one thread. A kernel with a work-group entry (the tiled
+// GEMMs) interleaves them pass by pass, and the executor refreshes the
+// item fields of the context before each item of each pass. Either way
+// intra-group reuse is never a race, mirroring the SYCL memory model,
+// where cross-group coherence is the only thing a kernel cannot assume.
 //
 // Mutable accessors model SYCL write accessors: every access through them
 // counts as a write (the kernels in this repo never read C).

@@ -36,19 +36,11 @@ template <int RowTile, int ColTile, int AccSize>
 syclrt::Event launch_checked(syclrt::Queue& queue, ReadAcc a, ReadAcc b,
                              WriteAcc c, gemm::GemmShape shape, int wg_rows,
                              int wg_cols) {
-  // Identical launch geometry to registry.cpp: one item per output tile,
-  // padded to whole work-groups.
-  const std::size_t tiles_r =
-      (shape.m + RowTile - 1) / static_cast<std::size_t>(RowTile);
-  const std::size_t tiles_c =
-      (shape.n + ColTile - 1) / static_cast<std::size_t>(ColTile);
-  const syclrt::NdRange<2> range(
-      syclrt::Range<2>(tiles_r, tiles_c),
-      syclrt::Range<2>(static_cast<std::size_t>(wg_rows),
-                       static_cast<std::size_t>(wg_cols)));
   const gemm::TiledGemmKernel<RowTile, ColTile, AccSize, ReadAcc, WriteAcc>
       kernel(a, b, c, shape);
-  return queue.parallel_for(range, kernel);
+  return queue.parallel_for(gemm::tiled_launch_range<RowTile, ColTile, 2>(
+                                shape, 1, wg_rows, wg_cols),
+                            kernel);
 }
 
 template <int RowTile, int ColTile, int AccSize>
@@ -56,18 +48,12 @@ syclrt::Event launch_checked_batched(syclrt::Queue& queue, ReadAcc a,
                                      ReadAcc b, WriteAcc c,
                                      gemm::GemmShape shape, std::size_t batch,
                                      int wg_rows, int wg_cols) {
-  const std::size_t tiles_r =
-      (shape.m + RowTile - 1) / static_cast<std::size_t>(RowTile);
-  const std::size_t tiles_c =
-      (shape.n + ColTile - 1) / static_cast<std::size_t>(ColTile);
-  const syclrt::NdRange<3> range(
-      syclrt::Range<3>(batch, tiles_r, tiles_c),
-      syclrt::Range<3>(std::size_t{1}, static_cast<std::size_t>(wg_rows),
-                       static_cast<std::size_t>(wg_cols)));
   const gemm::BatchedTiledGemmKernel<RowTile, ColTile, AccSize, ReadAcc,
                                      WriteAcc>
       kernel(a, b, c, shape, batch);
-  return queue.parallel_for(range, kernel);
+  return queue.parallel_for(gemm::tiled_launch_range<RowTile, ColTile, 3>(
+                                shape, batch, wg_rows, wg_cols),
+                            kernel);
 }
 
 struct CheckedEntry {

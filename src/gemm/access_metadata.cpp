@@ -9,9 +9,9 @@ KernelAccessPattern tiled_access_pattern(const KernelConfig& config) {
   pattern.acc_size = config.acc_size;
   pattern.wg_rows = config.wg_rows;
   pattern.wg_cols = config.wg_cols;
-  pattern.shape_guarded = true;   // compute_tile: row0 >= M || col0 >= N
-  pattern.edge_clamped = true;    // compute_edge: min(row0+RT, M) etc.
-  pattern.k_tail_clamped = true;  // compute_edge: k_end = min(k0+AS, K)
+  pattern.shape_guarded = true;   // run_group: row0 >= M || col0 >= N
+  pattern.edge_clamped = true;    // accumulate_edge: min(row0+RT, M) etc.
+  pattern.k_tail_clamped = true;  // accumulate_edge: k_end <= chunk end <= K
   pattern.reads_output = false;   // C is write-only in both paths
   // Charge the same staged-panel footprint the config lint does so the two
   // static layers can never disagree on local-memory capacity.

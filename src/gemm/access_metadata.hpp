@@ -30,7 +30,8 @@ struct KernelAccessPattern {
   /// items are therefore harmless.
   bool shape_guarded = true;
   /// Edge tiles clamp their row/col ranges to the logical shape (the
-  /// min() in compute_edge); interior tiles prove in-bounds structurally.
+  /// min() in accumulate_edge and store); interior tiles prove in-bounds
+  /// structurally.
   bool edge_clamped = true;
   /// The K loop clamps its final partial accumulator step (`k_end`).
   bool k_tail_clamped = true;

@@ -20,18 +20,10 @@ syclrt::Event launch_instantiation(syclrt::Queue& queue,
                                    std::span<const float> b,
                                    std::span<float> c, GemmShape shape,
                                    int wg_rows, int wg_cols) {
-  // One work-item per output tile; pad the launch to whole work-groups and
-  // let the kernel guard (SYCL-DNN launch convention).
-  const std::size_t tiles_r =
-      (shape.m + RowTile - 1) / static_cast<std::size_t>(RowTile);
-  const std::size_t tiles_c =
-      (shape.n + ColTile - 1) / static_cast<std::size_t>(ColTile);
-  const syclrt::NdRange<2> range(
-      syclrt::Range<2>(tiles_r, tiles_c),
-      syclrt::Range<2>(static_cast<std::size_t>(wg_rows),
-                       static_cast<std::size_t>(wg_cols)));
   TiledGemmKernel<RowTile, ColTile, AccSize> kernel(a, b, c, shape);
-  return queue.parallel_for(range, kernel);
+  return queue.parallel_for(
+      tiled_launch_range<RowTile, ColTile, 2>(shape, 1, wg_rows, wg_cols),
+      kernel);
 }
 
 template <int RowTile, int ColTile, int AccSize>
@@ -39,18 +31,11 @@ syclrt::Event launch_batched_instantiation(
     syclrt::Queue& queue, std::span<const float> a, std::span<const float> b,
     std::span<float> c, GemmShape shape, std::size_t batch, int wg_rows,
     int wg_cols) {
-  const std::size_t tiles_r =
-      (shape.m + RowTile - 1) / static_cast<std::size_t>(RowTile);
-  const std::size_t tiles_c =
-      (shape.n + ColTile - 1) / static_cast<std::size_t>(ColTile);
-  // One work-group handles one batch entry's tile block: local (1, wg, wg).
-  const syclrt::NdRange<3> range(
-      syclrt::Range<3>(batch, tiles_r, tiles_c),
-      syclrt::Range<3>(std::size_t{1}, static_cast<std::size_t>(wg_rows),
-                       static_cast<std::size_t>(wg_cols)));
   BatchedTiledGemmKernel<RowTile, ColTile, AccSize> kernel(a, b, c, shape,
                                                            batch);
-  return queue.parallel_for(range, kernel);
+  return queue.parallel_for(
+      tiled_launch_range<RowTile, ColTile, 3>(shape, batch, wg_rows, wg_cols),
+      kernel);
 }
 
 using BatchedLauncher = std::function<syclrt::Event(

@@ -3,9 +3,16 @@
 // Two submission models are provided, matching SYCL:
 //
 //  * `parallel_for(nd_range, kernel)` — flat ND-range. Work-groups execute
-//    concurrently on the shared thread pool; work-items within a group run
-//    sequentially on one thread. Kernels must not rely on barriers in this
-//    model (the register-tiled GEMM family does not).
+//    concurrently on the shared thread pool; the work-items of a group run
+//    on one thread. Kernels must not rely on barriers in this model. SYCL
+//    leaves the order of a barrier-free group's items to the
+//    implementation, so a kernel may also provide a work-group entry,
+//    `kernel(const WorkGroup<Dims>&)`. The executor then calls it once per
+//    group instead of calling `kernel(item)` per item; it sees the launch's
+//    unpadded logical range and may make several `parallel_for_work_item`
+//    passes, so its items interleave pass by pass. The register-tiled GEMM
+//    family uses this to advance a whole group through K one cache-sized
+//    chunk at a time.
 //
 //  * `parallel_for_work_group(groups, group_size, body)` — hierarchical
 //    model. The body runs once per group and may call
@@ -30,6 +37,8 @@
 #pragma once
 
 #include <functional>
+#include <type_traits>
+#include <vector>
 
 #include "common/thread_pool.hpp"
 #include "common/timer.hpp"
@@ -76,6 +85,9 @@ class WorkGroup {
   [[nodiscard]] std::size_t get_local_range(int d) const {
     return local_range_[d];
   }
+  [[nodiscard]] std::size_t get_local_linear_range() const {
+    return local_range_.size();
+  }
 
   /// Runs fn(item) for every work-item of this group. Consecutive calls are
   /// separated by an implicit work-group barrier (sequential execution).
@@ -115,6 +127,26 @@ class WorkGroup {
   Id<Dims> group_;
   Range<Dims> local_range_;
   Range<Dims> logical_global_;
+};
+
+/// One value per work-item of a group, declared in group scope so it
+/// survives from one parallel_for_work_item pass to the next (SYCL's
+/// `private_memory`). Values start value-initialised.
+template <typename T, int Dims>
+class PrivateMemory {
+ public:
+  explicit PrivateMemory(const WorkGroup<Dims>& group)
+      : values_(group.get_local_linear_range()) {}
+
+  T& operator()(const NdItem<Dims>& item) {
+    std::size_t linear = 0;
+    for (int d = 0; d < Dims; ++d)
+      linear = linear * item.get_local_range(d) + item.get_local_id(d);
+    return values_[linear];
+  }
+
+ private:
+  std::vector<T> values_;
 };
 
 /// Running profiling totals of a queue (cleared with reset_profile()).
@@ -164,8 +196,13 @@ class Queue {
     }
     common::Timer timer;
     for_each_group(groups, [&](Id<Dims> group) {
-      WorkGroup<Dims>(group, local, logical)
-          .parallel_for_work_item([&](const NdItem<Dims>& item) { kernel(item); });
+      const WorkGroup<Dims> work_group(group, local, logical);
+      if constexpr (std::is_invocable_v<Kernel&, const WorkGroup<Dims>&>) {
+        kernel(work_group);
+      } else {
+        work_group.parallel_for_work_item(
+            [&](const NdItem<Dims>& item) { kernel(item); });
+      }
     });
     Event event;
     event.elapsed_seconds = timer.elapsed_seconds();

@@ -232,6 +232,100 @@ TEST(CheckNegative, DisjointGroupsRunClean) {
   EXPECT_TRUE(monitor.clean());
 }
 
+// --- kernels with a work-group entry ----------------------------------------
+// The tiled GEMM kernels run as work-group entries: the executor calls them
+// once per group and they make several parallel_for_work_item passes. The
+// replay must still attribute each access to the item and the group that
+// made it.
+
+/// Counts its groups, then in each of two passes writes the slot that
+/// `slot(item)` names, consulting in_range() first when `guarded`.
+template <typename Slot>
+struct TwoPassKernel {
+  CheckedAccessor<float> out;
+  Slot slot;
+  bool guarded;
+  std::size_t* groups;
+
+  void operator()(const syclrt::WorkGroup<1>& group) const {
+    ++*groups;
+    for (int pass = 0; pass < 2; ++pass) {
+      group.parallel_for_work_item([&](const syclrt::NdItem<1>& item) {
+        if (guarded && !item.in_range()) return;
+        out[slot(item)] = static_cast<float>(pass);
+      });
+    }
+  }
+};
+
+TEST(CheckNegative, WorkGroupEntryMissingTailGuardIsReported) {
+  // Logical range 6 padded to 8: items 6 and 7 of group 1 are tail items,
+  // and each of them writes in both passes without a guard.
+  AccessMonitor monitor("toy_group_tail");
+  CheckedBuffer<float> c("C", 8, monitor);
+  auto queue = replay_queue();
+  std::size_t groups = 0;
+  const auto own = [](const syclrt::NdItem<1>& item) {
+    return item.get_global_id(0);
+  };
+
+  queue.parallel_for(
+      syclrt::NdRange<1>(syclrt::Range<1>(6), syclrt::Range<1>(4)),
+      TwoPassKernel<decltype(own)>{c.write(), own, false, &groups});
+
+  EXPECT_EQ(groups, 2u);
+  EXPECT_EQ(count_kind(monitor, DiagnosticKind::tail_unguarded), 2u);
+  for (const auto& finding : monitor.findings()) {
+    EXPECT_EQ(finding.kind, DiagnosticKind::tail_unguarded);
+    EXPECT_EQ(finding.group_b, 1u);
+    EXPECT_GE(finding.index, 6u);
+  }
+}
+
+TEST(CheckNegative, WorkGroupEntryGuardedTailRunsClean) {
+  AccessMonitor monitor("toy_group_tail_fixed");
+  CheckedBuffer<float> c("C", 8, monitor);
+  auto queue = replay_queue();
+  std::size_t groups = 0;
+  const auto own = [](const syclrt::NdItem<1>& item) {
+    return item.get_global_id(0);
+  };
+
+  queue.parallel_for(
+      syclrt::NdRange<1>(syclrt::Range<1>(6), syclrt::Range<1>(4)),
+      TwoPassKernel<decltype(own)>{c.write(), own, true, &groups});
+
+  EXPECT_EQ(groups, 2u);
+  EXPECT_TRUE(monitor.clean());
+  for (std::size_t i = 0; i < 6; ++i) EXPECT_EQ(c.host()[i], 1.0f);
+}
+
+TEST(CheckNegative, WorkGroupEntryCrossGroupWriteIsARace) {
+  // Every item of both groups writes element 0 in both passes. Within a
+  // group that is reuse; across the two groups it is a write/write race.
+  AccessMonitor monitor("toy_group_ww_race");
+  CheckedBuffer<float> c("C", 8, monitor);
+  auto queue = replay_queue();
+  std::size_t groups = 0;
+  const auto shared = [](const syclrt::NdItem<1>&) { return std::size_t{0}; };
+
+  queue.parallel_for(
+      syclrt::NdRange<1>(syclrt::Range<1>(8), syclrt::Range<1>(4)),
+      TwoPassKernel<decltype(shared)>{c.write(), shared, true, &groups});
+
+  EXPECT_EQ(groups, 2u);
+  EXPECT_EQ(count_kind(monitor, DiagnosticKind::write_write_race), 1u);
+  const auto& findings = monitor.findings();
+  const auto race = std::find_if(
+      findings.begin(), findings.end(), [](const check::Diagnostic& d) {
+        return d.kind == DiagnosticKind::write_write_race;
+      });
+  ASSERT_NE(race, findings.end());
+  EXPECT_EQ(race->index, 0u);
+  EXPECT_EQ(race->group_a, 0u);
+  EXPECT_EQ(race->group_b, 1u);
+}
+
 // --- invalid configurations (static lint) -----------------------------------
 
 TEST(CheckNegative, OversizedWorkGroupIsRejected) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
 #include <set>
 
 #include "common/error.hpp"
@@ -199,6 +201,75 @@ TEST(Launch, EventCountsMatchGeometry) {
   EXPECT_EQ(event.item_count, 64u);
   // Every output should be K (sum of 1*1 K times).
   for (const float v : c) EXPECT_FLOAT_EQ(v, 8.0f);
+}
+
+
+/// Every config writes exactly the bits of reference_gemm, which sums k in
+/// ascending order in float: all 640 configs through launch_gemm and all
+/// 64 instantiations through launch_batched_gemm, on the pool and under
+/// deterministic replay. Three shapes are ragged in every dimension. Two
+/// have K above the kernels' 256-value K chunk (kKChunk), so a work-group
+/// crosses chunk boundaries on the edge path (1x300x257) and on the
+/// interior path (16x520x24, whole tiles for every config).
+TEST(GemmBitIdentity, EveryConfigMatchesReferenceBits) {
+  const std::vector<GemmShape> shapes = {
+      {67, 131, 37}, {1, 300, 257}, {13, 7, 11}, {16, 520, 24}};
+  constexpr std::size_t kBatch = 3;
+  syclrt::Queue pooled;
+  syclrt::Queue replay;
+  replay.set_deterministic_replay(true);
+  common::Rng rng(17);
+  for (const GemmShape& shape : shapes) {
+    std::vector<float> a(kBatch * shape.m * shape.k);
+    std::vector<float> b(kBatch * shape.k * shape.n);
+    for (auto& v : a) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+    for (auto& v : b) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+    std::vector<float> expected(kBatch * shape.m * shape.n);
+    for (std::size_t bi = 0; bi < kBatch; ++bi) {
+      reference_gemm(
+          std::span<const float>(a).subspan(bi * shape.m * shape.k,
+                                            shape.m * shape.k),
+          std::span<const float>(b).subspan(bi * shape.k * shape.n,
+                                            shape.k * shape.n),
+          std::span<float>(expected).subspan(bi * shape.m * shape.n,
+                                             shape.m * shape.n),
+          shape);
+    }
+    const std::span<const float> a1(a.data(), shape.m * shape.k);
+    const std::span<const float> b1(b.data(), shape.k * shape.n);
+    // Launches one config on both queues and compares the output bytes.
+    const auto same_bits = [&](const KernelConfig& config, std::size_t batch)
+        -> ::testing::AssertionResult {
+      for (syclrt::Queue* queue : {&pooled, &replay}) {
+        std::vector<float> c(batch * shape.m * shape.n,
+                             std::numeric_limits<float>::quiet_NaN());
+        if (batch == 1) {
+          launch_gemm(*queue, config, a1, b1, c, shape);
+        } else {
+          launch_batched_gemm(*queue, config, a, b, c, shape, batch);
+        }
+        if (std::memcmp(c.data(), expected.data(), c.size() * sizeof(float)) !=
+            0) {
+          return ::testing::AssertionFailure()
+                 << config.name() << " batch " << batch << " on "
+                 << shape.to_string()
+                 << (queue->deterministic_replay() ? " under replay" : "");
+        }
+      }
+      return ::testing::AssertionSuccess();
+    };
+    for (const KernelConfig& config : enumerate_configs()) {
+      ASSERT_TRUE(same_bits(config, 1));
+    }
+    std::size_t wg = 0;
+    for (int rt : tile_sizes())
+      for (int ct : tile_sizes())
+        for (int acc : tile_sizes()) {
+          const auto [wg_r, wg_c] =
+              work_group_shapes()[wg++ % work_group_shapes().size()];
+          ASSERT_TRUE(same_bits(KernelConfig{rt, ct, acc, wg_r, wg_c}, kBatch));
+        }
+  }
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <mutex>
 #include <set>
@@ -262,6 +263,61 @@ TEST(Queue, ReplayMatchesPooledExecutionResults) {
     return out;
   };
   EXPECT_EQ(run(true), run(false));
+}
+
+/// A kernel with a work-group entry: records each call's group and logical
+/// range, and which item ran in which of its two passes.
+struct GroupEntryKernel {
+  std::mutex* mutex;
+  std::vector<std::size_t>* groups;
+  std::vector<std::pair<int, std::size_t>>* trail;  // (pass, global id)
+  std::size_t* logical;
+
+  void operator()(const WorkGroup<1>& group) const {
+    std::vector<std::pair<int, std::size_t>> local;
+    std::size_t range = 0;
+    for (int pass = 0; pass < 2; ++pass) {
+      group.parallel_for_work_item([&](const NdItem<1>& item) {
+        local.emplace_back(pass, item.get_global_id(0));
+        range = item.get_global_range(0);
+      });
+    }
+    std::lock_guard lock(*mutex);
+    *logical = range;
+    groups->push_back(group.get_group(0));
+    trail->insert(trail->end(), local.begin(), local.end());
+  }
+};
+
+TEST(Queue, WorkGroupEntryRunsOncePerGroupOnPoolAndReplay) {
+  for (const bool replay : {false, true}) {
+    Queue queue;
+    queue.set_deterministic_replay(replay);
+    std::mutex mutex;
+    std::vector<std::size_t> groups;
+    std::vector<std::pair<int, std::size_t>> trail;
+    std::size_t logical = 0;
+    // Logical range 10 padded to 12: three groups of four items.
+    const auto event =
+        queue.parallel_for(NdRange<1>(Range<1>(10), Range<1>(4)),
+                           GroupEntryKernel{&mutex, &groups, &trail, &logical});
+    EXPECT_EQ(event.group_count, 3u);
+    EXPECT_EQ(event.item_count, 12u);
+    EXPECT_EQ(logical, 10u) << "the entry sees the unpadded range";
+    std::sort(groups.begin(), groups.end());
+    EXPECT_EQ(groups, (std::vector<std::size_t>{0, 1, 2}));
+    // Each group makes both passes over all of its items, one pass after
+    // the other.
+    ASSERT_EQ(trail.size(), 24u);
+    for (std::size_t g = 0; g < 3; ++g) {
+      const auto* run = &trail[g * 8];
+      for (std::size_t i = 0; i < 8; ++i) {
+        EXPECT_EQ(run[i].first, i < 4 ? 0 : 1);
+        EXPECT_EQ(run[i].second % 4, i % 4);
+        EXPECT_EQ(run[i].second / 4, run[0].second / 4);
+      }
+    }
+  }
 }
 
 }  // namespace
