@@ -15,7 +15,6 @@
 #include "syclrt/buffer.hpp"     // IWYU pragma: export
 #include "syclrt/queue.hpp"      // IWYU pragma: export
 #include "gemm/config.hpp"       // IWYU pragma: export
-#include "gemm/hierarchical_kernel.hpp"  // IWYU pragma: export
 #include "gemm/reference.hpp"    // IWYU pragma: export
 #include "gemm/registry.hpp"     // IWYU pragma: export
 #include "conv/direct.hpp"       // IWYU pragma: export

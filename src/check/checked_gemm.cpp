@@ -8,7 +8,6 @@
 #include "check/checked_buffer.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "gemm/hierarchical_kernel.hpp"
 #include "gemm/reference.hpp"
 #include "gemm/tiled_kernel.hpp"
 #include "syclrt/queue.hpp"
@@ -245,29 +244,6 @@ CheckResult check_batched_gemm(const gemm::KernelConfig& config,
   return finalise(monitor, c_buf.host(), expected);
 }
 
-CheckResult check_hierarchical_gemm(const gemm::GemmShape& shape) {
-  const std::string label = "hierarchical_t8@" + shape.to_string();
-  AccessMonitor monitor(label);
-
-  common::Rng rng(operand_seed({}, shape) ^ 0x5157ULL);
-  std::vector<float> a(shape.m * shape.k);
-  std::vector<float> b(shape.k * shape.n);
-  fill_uniform(a, rng);
-  fill_uniform(b, rng);
-  std::vector<float> expected(shape.m * shape.n);
-  gemm::reference_gemm(a, b, expected, shape);
-
-  CheckedBuffer<float> a_buf("A", std::span<const float>(a), monitor);
-  CheckedBuffer<float> b_buf("B", std::span<const float>(b), monitor);
-  CheckedBuffer<float> c_buf("C", shape.m * shape.n, monitor);
-
-  syclrt::Queue queue;
-  queue.set_deterministic_replay(true);
-  gemm::basic_hierarchical_gemm<8>(queue, a_buf.read(), b_buf.read(),
-                                   c_buf.write(), shape);
-  return finalise(monitor, c_buf.host(), expected);
-}
-
 std::vector<gemm::GemmShape> default_shape_corpus() {
   return {
       {16, 16, 16},  // aligned interior tiles for every config
@@ -306,14 +282,7 @@ RegistryCheckSummary check_registry(const RegistryCheckOptions& options) {
     }
     // The batched kernel shares the compiled instantiation; replay it once
     // per config on a small ragged batch.
-    if (options.include_batched) {
-      absorb(check_batched_gemm(config, {9, 5, 7}, 3));
-    }
-  }
-  if (options.include_hierarchical) {
-    for (const auto& shape : shapes) {
-      absorb(check_hierarchical_gemm(shape));
-    }
+    absorb(check_batched_gemm(config, {9, 5, 7}, 3));
   }
   return summary;
 }

@@ -72,9 +72,6 @@ struct CheckResult {
                                              const gemm::GemmShape& shape,
                                              std::size_t batch);
 
-/// Same for the hierarchical (work-group cooperative) kernel, Tile = 8.
-[[nodiscard]] CheckResult check_hierarchical_gemm(const gemm::GemmShape& shape);
-
 /// Shapes exercising interior tiles, ragged M/N edges, K remainders for
 /// every acc_size, and degenerate single-row/column cases.
 [[nodiscard]] std::vector<gemm::GemmShape> default_shape_corpus();
@@ -84,10 +81,6 @@ struct RegistryCheckOptions {
   std::vector<gemm::GemmShape> shapes;
   /// Check only the first N configurations (0 = all 640).
   std::size_t max_configs = 0;
-  /// Also replay the batched kernel for each compiled instantiation.
-  bool include_batched = true;
-  /// Also replay the hierarchical kernel over the corpus.
-  bool include_hierarchical = true;
 };
 
 struct RegistryCheckSummary {
@@ -101,9 +94,10 @@ struct RegistryCheckSummary {
   }
 };
 
-/// Sweeps the kernel zoo (registry configurations x shape corpus) through
-/// the checked execution mode. Numerical divergence beyond tolerance is
-/// folded into `findings` so one flag gates everything.
+/// Sweeps the kernel zoo (registry configurations x shape corpus, plus one
+/// batched launch per configuration) through the checked execution mode.
+/// Numerical divergence beyond tolerance is folded into `findings` so one
+/// flag gates everything.
 [[nodiscard]] RegistryCheckSummary check_registry(
     const RegistryCheckOptions& options = {});
 

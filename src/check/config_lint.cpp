@@ -1,11 +1,13 @@
 #include "check/config_lint.hpp"
 
 #include <algorithm>
-#include <sstream>
 
+#include "check/symbolic/access_summary.hpp"
+#include "check/symbolic/verifier.hpp"
 #include "common/csv.hpp"
 #include "common/error.hpp"
 #include "common/strings.hpp"
+#include "gemm/access_metadata.hpp"
 
 namespace aks::check {
 
@@ -15,6 +17,19 @@ namespace {
 std::string sanitize_cell(std::string text) {
   std::replace(text.begin(), text.end(), ',', ';');
   return text;
+}
+
+LintRule lint_rule_of(std::string_view capacity_rule) {
+  if (capacity_rule == symbolic::kRuleCapacityWg) {
+    return LintRule::work_group_size;
+  }
+  if (capacity_rule == symbolic::kRuleCapacityLocalMem) {
+    return LintRule::local_memory;
+  }
+  if (capacity_rule == symbolic::kRuleCapacityVector) {
+    return LintRule::vector_width;
+  }
+  AKS_FAIL("capacity rule '" << capacity_rule << "' has no lint rule");
 }
 
 }  // namespace
@@ -35,8 +50,7 @@ Diagnostic LintFinding::to_diagnostic() const {
           .index = config_index,
           .group_a = kNoGroup,
           .group_b = kNoGroup,
-          .message = "[" + std::string(to_string(rule)) + "] on " + device +
-                     ": " + message};
+          .message = "[" + std::string(to_string(rule)) + "] " + message};
 }
 
 void LintReport::save_csv(const std::filesystem::path& path) const {
@@ -87,63 +101,19 @@ LintReport LintReport::load_csv(const std::filesystem::path& path) {
   return report;
 }
 
-std::size_t local_memory_footprint_bytes(const gemm::KernelConfig& config) {
-  const auto rows = static_cast<std::size_t>(config.wg_rows) *
-                    static_cast<std::size_t>(config.row_tile);
-  const auto cols = static_cast<std::size_t>(config.wg_cols) *
-                    static_cast<std::size_t>(config.col_tile);
-  const auto acc = static_cast<std::size_t>(config.acc_size);
-  return sizeof(float) * (rows * acc + acc * cols);
-}
-
 std::vector<LintFinding> lint_config(const gemm::KernelConfig& config,
                                      std::size_t config_index,
                                      const perf::DeviceSpec& device) {
+  const auto capacity = symbolic::check_capacity(
+      symbolic::summarize_tiled_gemm(gemm::tiled_access_pattern(config)),
+      device);
   std::vector<LintFinding> findings;
-  const auto add = [&](LintRule rule, const std::string& message) {
+  for (const auto& finding : capacity) {
     findings.push_back({.config_index = config_index,
                         .config = config.name(),
                         .device = device.name,
-                        .rule = rule,
-                        .message = message});
-  };
-
-  const int wg_size = config.work_group_size();
-  if (wg_size > device.max_work_group_size) {
-    std::ostringstream os;
-    os << "work-group size " << wg_size << " exceeds device limit "
-       << device.max_work_group_size;
-    add(LintRule::work_group_size, os.str());
-  }
-
-  const std::size_t footprint = local_memory_footprint_bytes(config);
-  if (footprint > device.local_memory_bytes) {
-    std::ostringstream os;
-    os << "staged panels need " << footprint
-       << " bytes of local memory; device has " << device.local_memory_bytes;
-    add(LintRule::local_memory, os.str());
-  }
-
-  // The staging loads along K are emitted as acc_size-wide vectors and the
-  // B staging / C store address col_tile contiguous columns; each width
-  // must decompose into whole native vectors or fit inside one, or the
-  // accesses cannot be emitted as full vectors — scalar fix-up code the
-  // kernel family does not have. Both widths go through the same tail
-  // predicate the symbolic verifier's capacity check uses (previously only
-  // acc_size was linted, so a config whose store width broke the vector
-  // tail passed the lint but failed the replay layer).
-  const int vec = device.vector_width;
-  if (!vector_tail_ok(config.acc_size, vec)) {
-    std::ostringstream os;
-    os << "accumulator step " << config.acc_size
-       << " does not tile into native vector width " << vec;
-    add(LintRule::vector_width, os.str());
-  }
-  if (!vector_tail_ok(config.col_tile, vec)) {
-    std::ostringstream os;
-    os << "column-tile store width " << config.col_tile
-       << " does not tile into native vector width " << vec;
-    add(LintRule::vector_width, os.str());
+                        .rule = lint_rule_of(finding.rule),
+                        .message = finding.message});
   }
   return findings;
 }

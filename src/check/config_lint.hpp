@@ -3,21 +3,25 @@
 // The pruning and selection pipelines assume every point of the 640-element
 // configuration space is launchable on the target device; a config that
 // exceeds a device execution limit would either fail to launch or silently
-// fall back, poisoning the tuning dataset. This pass checks each
-// (config, device) pair against three mechanical rules — no benchmark run
-// required:
+// fall back, poisoning the tuning dataset. The lint reports, per
+// (config, device) pair and with no benchmark run, which limits the config
+// breaks. It owns no rules: each finding is a projection of
+// `symbolic::check_capacity` on the config's tiled access summary
+// (`gemm::tiled_access_pattern`), renamed to the lint's rule ids:
 //
-//   work_group_size  — wg_rows * wg_cols must not exceed the device's
-//                      max_work_group_size launch limit;
-//   local_memory     — the work-group's staged operand panels must fit the
-//                      device's per-group local memory;
-//   vector_width     — the vectorised K-step (acc_size) must tile into, or
-//                      be covered by, the device's native load vector, or
-//                      the staging loads cannot be emitted as full vectors.
+//   work_group_size  — capacity-work-group-size: wg_rows * wg_cols must
+//                      not exceed the device's max_work_group_size;
+//   local_memory     — capacity-local-memory: the work-group's staged
+//                      operand panels must fit the device's per-group
+//                      local memory;
+//   vector_width     — capacity-vector-width: every staged access width
+//                      (acc_size along K, col_tile along N) must tile
+//                      into, or be covered by, the native load vector.
 //
-// The report is machine-readable (CSV round-trip). Invalid (config, device)
-// points never enter a pruned library: the symbolic certificate's capacity
-// rules check the same limits, so `select::CertifiedPruner` drops them.
+// The report is machine-readable (CSV round-trip, JSON via
+// report_json.hpp). Invalid (config, device) points never enter a pruned
+// library, because the same capacity rules keep their certificate from
+// being SAFE and `select::CertifiedPruner` drops them.
 #pragma once
 
 #include <filesystem>
@@ -56,6 +60,7 @@ struct LintFinding {
   std::string config;  ///< KernelConfig::name()
   std::string device;  ///< DeviceSpec::name
   LintRule rule = LintRule::work_group_size;
+  /// The capacity rule's message, which starts with "on <device>: ".
   std::string message;
 
   /// View as the subsystem-wide diagnostic type (kind invalid_config).
@@ -74,24 +79,8 @@ struct LintReport {
   [[nodiscard]] static LintReport load_csv(const std::filesystem::path& path);
 };
 
-/// Bytes of work-group local memory the config's staged operand panels
-/// need: an (wg_rows*row_tile) x acc_size A panel and an acc_size x
-/// (wg_cols*col_tile) B panel of floats.
-[[nodiscard]] std::size_t local_memory_footprint_bytes(
-    const gemm::KernelConfig& config);
-
-/// True when a `width`-wide staged access decomposes into whole native
-/// vectors (width >= native) or fits inside one (width < native and
-/// divides it). The single tail predicate shared by the vector_width lint
-/// rule and the symbolic verifier's capacity-vector-width check, so the
-/// two static layers can never disagree.
-[[nodiscard]] constexpr bool vector_tail_ok(int width, int native) {
-  if (native <= 0 || width <= 0) return true;
-  return width % native == 0 || native % width == 0;
-}
-
-/// Lints one (config, device) pair; returns the violated rules (empty when
-/// the pair is valid).
+/// Lints one (config, device) pair: the capacity findings of the config's
+/// tiled access summary on `device` (empty when the pair is valid).
 [[nodiscard]] std::vector<LintFinding> lint_config(
     const gemm::KernelConfig& config, std::size_t config_index,
     const perf::DeviceSpec& device);

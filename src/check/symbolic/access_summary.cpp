@@ -92,43 +92,4 @@ AccessSummary summarize_batched_tiled_gemm(
   return s;
 }
 
-AccessSummary summarize_hierarchical_gemm(int tile) {
-  AccessSummary s;
-  s.kernel = "HierarchicalGemm";
-  // Each item owns a single output element; the Tile x Tile work-group is
-  // the scheduling unit, so the per-item pitch is 1 with wg = Tile.
-  s.schedule = {
-      {.origin = Sym::row0,
-       .extent = sym_m(),
-       .pitch = 1,
-       .wg = tile,
-       .guarded = true},
-      {.origin = Sym::col0,
-       .extent = sym_n(),
-       .pitch = 1,
-       .wg = tile,
-       .guarded = true},
-  };
-  s.buffers = {
-      {.name = "A", .rows = sym_m(), .cols = sym_k()},
-      {.name = "B", .rows = sym_k(), .cols = sym_n()},
-      {.name = "C", .rows = sym_m(), .cols = sym_n()},
-  };
-  const Extent row = Extent::range(sym_row0(), sym_row0() + 1);
-  const Extent col = Extent::range(sym_col0(), sym_col0() + 1);
-  const Extent k_span = Extent::range(AffineExpr::constant(0), sym_k());
-  s.regions = {
-      {.buffer = "A", .is_write = false, .rows = row, .cols = k_span,
-       .preconditions = {}},
-      {.buffer = "B", .is_write = false, .rows = k_span, .cols = col,
-       .preconditions = {}},
-      {.buffer = "C", .is_write = true, .rows = row, .cols = col,
-       .preconditions = {}},
-  };
-  const auto pattern = gemm::hierarchical_access_pattern(tile);
-  s.local_memory_bytes = pattern.local_memory_bytes;
-  s.work_group_size = pattern.work_group_size();
-  return s;
-}
-
 }  // namespace aks::check::symbolic

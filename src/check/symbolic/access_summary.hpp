@@ -1,4 +1,4 @@
-// Closed-form access summaries of the GEMM kernel families.
+// Closed-form access summaries of the tiled GEMM kernel family.
 //
 // An `AccessSummary` describes, per configured launch, every global-memory
 // region a work-item touches as affine index ranges symbolic in the GEMM
@@ -110,9 +110,5 @@ struct AccessSummary {
 /// batch dimension and per-entry buffer slicing.
 [[nodiscard]] AccessSummary summarize_batched_tiled_gemm(
     const gemm::KernelAccessPattern& pattern);
-
-/// Summary of basic_hierarchical_gemm<Tile>: one output element per item
-/// (pitch-1 schedule with Tile x Tile groups), panels in local memory.
-[[nodiscard]] AccessSummary summarize_hierarchical_gemm(int tile);
 
 }  // namespace aks::check::symbolic

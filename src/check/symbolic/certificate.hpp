@@ -3,7 +3,8 @@
 // `certify_space` sweeps configs x devices through the symbolic verifier:
 // per configuration it verifies the tiled and batched access summaries
 // (shape-symbolic, device-independent) and per device it adds the concrete
-// capacity checks. Each (config, device) pair gets one `Certificate`:
+// capacity checks (check_capacity, the one device-limit rule set). Each
+// (config, device) pair gets one `Certificate`:
 //
 //   SAFE     — carries the shape precondition the verdict quantifies over
 //              ("for all M, K, N >= 1 ...");
@@ -15,13 +16,15 @@
 //
 // The report round-trips as CSV (same conventions as check::LintReport),
 // exports SARIF-ish JSON via report_json.hpp, and collapses to a
-// per-config safety mask that `select::CertifiedPruner` consumes.
+// per-config safety mask that `select::CertifiedPruner` and the store's
+// certificate gate consume. The mask fails closed: a config the report
+// holds no certificate for is not SAFE.
 //
 // `differential_check` is the trust-but-verify mode: it cross-checks
-// symbolic verdicts against sampled dynamic replays — SAFE configs must
-// replay clean over the shape corpus, UNSAFE access verdicts must fail
-// replay on their counterexample shape, UNSAFE capacity verdicts must
-// agree with the config lint, and any UNKNOWN is itself a mismatch.
+// symbolic access verdicts against sampled dynamic replays — SAFE configs
+// must replay clean over the shape corpus, UNSAFE access verdicts must
+// fail replay on their counterexample shape, and any UNKNOWN is itself a
+// mismatch.
 #pragma once
 
 #include <filesystem>
@@ -38,10 +41,6 @@ namespace aks::check::symbolic {
 struct CertifyOptions {
   /// Certify only the first N configurations (0 = all).
   std::size_t max_configs = 0;
-  /// Also verify the batched-launch summary per configuration.
-  bool include_batched = true;
-  /// Replay UNKNOWN verdicts' candidate shapes through checked replay.
-  bool escalate_unknown = true;
 };
 
 struct Certificate {
@@ -72,8 +71,10 @@ struct CertifyReport {
     return count(Verdict::safe) == certificates.size();
   }
 
-  /// Per-config safety over `num_configs` configs: false when the config
-  /// is not SAFE on `device` (or on any device when `device` is empty).
+  /// Per-config safety over `num_configs` configs. A config is SAFE when
+  /// the report holds at least one certificate for it on `device` (on any
+  /// device when `device` is empty) and every such certificate is SAFE; a
+  /// config with no certificate is not SAFE.
   [[nodiscard]] std::vector<bool> safe_mask(
       std::size_t num_configs, const std::string& device = {}) const;
 
@@ -84,7 +85,9 @@ struct CertifyReport {
       const std::filesystem::path& path);
 };
 
-/// Sweeps `configs` x `devices`. Pass `gemm::enumerate_configs()` and
+/// Sweeps `configs` x `devices`, verifying the flat and batched summaries
+/// of each config and escalating UNKNOWN access verdicts' replay candidates
+/// through checked replay. Pass `gemm::enumerate_configs()` and
 /// `perf::DeviceSpec::shipped()` for the standard 640 x 3 space.
 [[nodiscard]] CertifyReport certify_space(
     std::span<const gemm::KernelConfig> configs,
@@ -104,10 +107,11 @@ struct DifferentialResult {
   [[nodiscard]] bool clean() const { return mismatches.empty(); }
 };
 
-/// Cross-checks `report` against dynamic replays of `samples` evenly-spaced
-/// configurations (0 = every certified configuration).
+/// Cross-checks `report`'s access verdicts against dynamic replays of
+/// `samples` evenly-spaced configurations (0 = every certified
+/// configuration).
 [[nodiscard]] DifferentialResult differential_check(
     const CertifyReport& report, std::span<const gemm::KernelConfig> configs,
-    std::span<const perf::DeviceSpec> devices, std::size_t samples = 0);
+    std::size_t samples = 0);
 
 }  // namespace aks::check::symbolic

@@ -4,7 +4,6 @@
 #include <optional>
 #include <sstream>
 
-#include "check/config_lint.hpp"
 #include "common/error.hpp"
 
 namespace aks::check::symbolic {

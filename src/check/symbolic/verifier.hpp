@@ -25,7 +25,9 @@
 //
 // `check_capacity` separately validates a summary's resource facts against
 // a DeviceSpec (work-group size, local memory, staged vector widths); these
-// are concrete per-device checks, reported with the capacity-* rules.
+// are concrete per-device checks, reported with the capacity-* rules. They
+// are the repo's one set of device-limit rules: the config lint
+// (config_lint.hpp) reports a projection of their findings.
 #pragma once
 
 #include <string>
@@ -102,8 +104,17 @@ struct VerifyResult {
 /// Verifies the access obligations of `summary` for all admitted shapes.
 [[nodiscard]] VerifyResult verify_access_summary(const AccessSummary& summary);
 
+/// True when a `width`-wide staged access decomposes into whole native
+/// vectors (width >= native) or fits inside one (width < native and
+/// divides it): the capacity-vector-width rule.
+[[nodiscard]] constexpr bool vector_tail_ok(int width, int native) {
+  if (native <= 0 || width <= 0) return true;
+  return width % native == 0 || native % width == 0;
+}
+
 /// Checks the summary's resource facts against one device. Violations are
-/// concrete, so every finding is UNSAFE with kind invalid_config.
+/// concrete, so every finding is UNSAFE with kind invalid_config, and each
+/// message starts with "on <device name>: ".
 [[nodiscard]] std::vector<SymbolicFinding> check_capacity(
     const AccessSummary& summary, const perf::DeviceSpec& device);
 

@@ -120,7 +120,7 @@ class AgglomerativePruner final : public ConfigPruner {
 /// process boundary as a certificate file, keeping this layer free of a
 /// dependency on the analysis tooling. It is the one mask filter: a config
 /// with a config-lint finding on a device is never SAFE there, because the
-/// certificate's capacity rules check the same three device limits.
+/// lint reports the certificate's capacity rules.
 class CertifiedPruner final : public ConfigPruner {
  public:
   CertifiedPruner(std::unique_ptr<ConfigPruner> inner, std::vector<bool> safe);

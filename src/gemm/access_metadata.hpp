@@ -1,14 +1,16 @@
-// Declarative access metadata for the kernel families.
+// Declarative access metadata for the tiled GEMM kernel family.
 //
-// The symbolic verifier (src/check/symbolic) needs to know, per kernel
-// family, the structural facts that govern its memory behaviour: tile
-// shape, work-group schedule, whether the entry guard covers the padded
-// launch, whether edge tiles clamp their ranges, and how much local memory
-// a work-group commits. These facts are properties of the kernel *source*
-// (tiled_kernel.hpp, hierarchical_kernel.hpp); this header states them
-// once, next to that source, so the verifier consumes a description rather
-// than re-deriving it — and so a negative test can hand the verifier a
-// deliberately wrong description and watch the corresponding proof fail.
+// The symbolic verifier (src/check/symbolic) needs the structural facts
+// that govern the kernels' memory behaviour: tile shape, work-group
+// schedule, whether the entry guard covers the padded launch, whether edge
+// tiles clamp their ranges, and how much local memory a work-group
+// commits. These facts are properties of the kernel *source*
+// (tiled_kernel.hpp); this header states them once, next to that source,
+// so the verifier consumes a description rather than re-deriving it — and
+// so a negative test can hand the verifier a deliberately wrong
+// description and watch the corresponding proof fail. The device-limit
+// rules (symbolic::check_capacity, and the config lint that projects them)
+// read the work-group size and local-memory footprint from here too.
 #pragma once
 
 #include <cstddef>
@@ -46,13 +48,10 @@ struct KernelAccessPattern {
 };
 
 /// Pattern of TiledGemmKernel / BatchedTiledGemmKernel under `config`.
-/// local_memory_bytes uses the same staged-panel formula the config lint
-/// charges (check::local_memory_footprint_bytes) so the static layers agree.
+/// local_memory_bytes is the one staged-panel footprint formula: an
+/// (wg_rows*row_tile) x acc_size A panel plus an acc_size x
+/// (wg_cols*col_tile) B panel of floats.
 [[nodiscard]] KernelAccessPattern tiled_access_pattern(
     const KernelConfig& config);
-
-/// Pattern of basic_hierarchical_gemm<Tile>: a Tile x Tile cooperative
-/// work-group staging three Tile^2 float panels in local memory.
-[[nodiscard]] KernelAccessPattern hierarchical_access_pattern(int tile);
 
 }  // namespace aks::gemm

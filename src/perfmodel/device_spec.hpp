@@ -48,7 +48,7 @@ struct DeviceSpec {
   /// index arithmetic) — what a larger acc_size amortises away.
   double loop_overhead_cycles = 10.0;
   /// Maximum work-items per work-group the device will launch (execution
-  /// limit, not a performance parameter — consumed by the config lint).
+  /// limit, not a performance parameter — consumed by check_capacity).
   int max_work_group_size = 256;
   /// Local ("shared") memory available per work-group, in bytes.
   std::size_t local_memory_bytes = 64 * 1024;

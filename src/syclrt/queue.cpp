@@ -55,21 +55,4 @@ Queue::Queue(Device device, common::ThreadPool* pool)
     : device_(std::move(device)),
       pool_(pool != nullptr ? pool : &common::ThreadPool::global()) {}
 
-Event Queue::single_task(const std::function<void()>& task) {
-  faults::maybe_inject_launch_fault();
-  trace::Span span;
-  if (trace::enabled()) {
-    detail::arm_launch_span(span, "queue.single_task", 1, 1);
-  }
-  common::Timer timer;
-  task();
-  Event event;
-  event.elapsed_seconds = timer.elapsed_seconds();
-  event.group_count = 1;
-  event.item_count = 1;
-  if (span.armed()) detail::finish_launch_span(span, event.elapsed_seconds);
-  record(event);
-  return event;
-}
-
 }  // namespace aks::syclrt

@@ -1,25 +1,19 @@
 // Execution queue mirroring sycl::queue for the host device.
 //
-// Two submission models are provided, matching SYCL:
-//
-//  * `parallel_for(nd_range, kernel)` — flat ND-range. Work-groups execute
-//    concurrently on the shared thread pool; the work-items of a group run
-//    on one thread. Kernels must not rely on barriers in this model. SYCL
-//    leaves the order of a barrier-free group's items to the
-//    implementation, so a kernel may also provide a work-group entry,
-//    `kernel(const WorkGroup<Dims>&)`. The executor then calls it once per
-//    group instead of calling `kernel(item)` per item; it sees the launch's
-//    unpadded logical range and may make several `parallel_for_work_item`
-//    passes, so its items interleave pass by pass. The register-tiled GEMM
-//    family uses this to advance a whole group through K one cache-sized
-//    chunk at a time.
-//
-//  * `parallel_for_work_group(groups, group_size, body)` — hierarchical
-//    model. The body runs once per group and may call
-//    `WorkGroup::parallel_for_work_item` any number of times; each call is a
-//    full pass over the group's items, so the gap between two calls has
-//    work-group barrier semantics. Local memory is modelled by variables in
-//    the body's scope (one instance per group, shared by its items).
+// One submission model, SYCL's ND-range `parallel_for(nd_range, kernel)`.
+// Work-groups execute concurrently on the shared thread pool and the
+// work-items of a group run on one thread. A per-item kernel,
+// `kernel(const NdItem<Dims>&)`, has no barrier between its items. SYCL
+// leaves the order of a barrier-free group's items to the implementation,
+// so a kernel may instead provide a work-group entry,
+// `kernel(const WorkGroup<Dims>&)`, which the executor calls once per
+// group. The entry sees the launch's unpadded logical range and may make
+// several `WorkGroup::parallel_for_work_item` passes; each is a full pass
+// over the group's items, so the gap between two passes has work-group
+// barrier semantics. Values the passes share live in the entry's scope
+// (one instance per group, SYCL's local memory) or in a `PrivateMemory`
+// (one value per item). The register-tiled GEMM family uses this to
+// advance a whole group through K one cache-sized chunk at a time.
 //
 // Submissions are synchronous: the call returns once every work-group has
 // finished, and returns an Event carrying the measured wall time. A SYCL
@@ -36,7 +30,6 @@
 // launches cannot deadlock (see common/thread_pool.hpp).
 #pragma once
 
-#include <functional>
 #include <type_traits>
 #include <vector>
 
@@ -72,7 +65,8 @@ struct Event {
   std::size_t item_count = 0;
 };
 
-/// Handle passed to hierarchical kernels; iterates this group's work-items.
+/// Handle passed to a kernel's work-group entry; iterates the group's
+/// work-items, one full pass per parallel_for_work_item call.
 template <int Dims>
 class WorkGroup {
  public:
@@ -212,35 +206,6 @@ class Queue {
     record(event);
     return event;
   }
-
-  /// Hierarchical submission: body(WorkGroup) runs once per group.
-  template <int Dims, typename Body>
-  Event parallel_for_work_group(Range<Dims> num_groups, Range<Dims> group_size,
-                                Body&& body) {
-    Range<Dims> logical;
-    for (int d = 0; d < Dims; ++d) logical[d] = num_groups[d] * group_size[d];
-    validate(NdRange<Dims>(logical, group_size));
-    faults::maybe_inject_launch_fault();
-    trace::Span span;
-    if (trace::enabled()) {
-      detail::arm_launch_span(span, "queue.parallel_for_work_group",
-                              num_groups.size(), logical.size());
-    }
-    common::Timer timer;
-    for_each_group(num_groups, [&](Id<Dims> group) {
-      body(WorkGroup<Dims>(group, group_size, logical));
-    });
-    Event event;
-    event.elapsed_seconds = timer.elapsed_seconds();
-    event.group_count = num_groups.size();
-    event.item_count = logical.size();
-    if (span.armed()) detail::finish_launch_span(span, event.elapsed_seconds);
-    record(event);
-    return event;
-  }
-
-  /// Runs a single task on the queue's device.
-  Event single_task(const std::function<void()>& task);
 
  private:
   void record(const Event& event) {

@@ -14,6 +14,7 @@
 #include "check/config_lint.hpp"
 #include "common/csv.hpp"
 #include "common/error.hpp"
+#include "gemm/access_metadata.hpp"
 #include "gemm/config.hpp"
 #include "perfmodel/device_spec.hpp"
 
@@ -47,10 +48,12 @@ TEST(ConfigLint, FootprintGrowsWithTileAndGroup) {
   large.acc_size = 8;
   large.wg_rows = 16;
   large.wg_cols = 16;
-  EXPECT_LT(check::local_memory_footprint_bytes(small),
-            check::local_memory_footprint_bytes(large));
+  const auto footprint = [](const gemm::KernelConfig& config) {
+    return gemm::tiled_access_pattern(config).local_memory_bytes;
+  };
+  EXPECT_LT(footprint(small), footprint(large));
   // Exact value for the small config: (8*1*1 + 1*8*1) floats.
-  EXPECT_EQ(check::local_memory_footprint_bytes(small), 16u * sizeof(float));
+  EXPECT_EQ(footprint(small), 16u * sizeof(float));
 }
 
 TEST(ConfigLint, ReportRoundTripsThroughCsv) {
@@ -109,11 +112,16 @@ TEST(ConfigLint, ValidMaskFlagsOnlyOffendingConfigs) {
   const auto report = check::lint_configs(configs, devices);
 
   // The oversized group is invalid on every device; the good configs at
-  // indices 0 and 2 draw no finding anywhere.
+  // indices 0 and 2 draw no finding anywhere. Each diagnostic names its
+  // device once.
   std::set<std::string> flagged_devices;
   for (const auto& finding : report.findings) {
     EXPECT_EQ(finding.config_index, 1u) << finding.message;
     flagged_devices.insert(finding.device);
+    const std::string text = finding.to_diagnostic().format();
+    const auto first = text.find(finding.device);
+    ASSERT_NE(first, std::string::npos) << text;
+    EXPECT_EQ(text.find(finding.device, first + 1), std::string::npos) << text;
   }
   EXPECT_EQ(flagged_devices.size(), devices.size());
 }
@@ -146,7 +154,6 @@ TEST(CheckedExecution, RepresentativeConfigsReplayClean) {
 TEST(CheckedExecution, BatchedAndHierarchicalReplayClean) {
   const auto config = gemm::KernelConfig::parse("t2x2_a2_wg8x8");
   EXPECT_TRUE(check::check_batched_gemm(config, {9, 5, 7}, 3).clean());
-  EXPECT_TRUE(check::check_hierarchical_gemm({33, 20, 27}).clean());
 }
 
 TEST(CheckedExecution, ConvLoweringsReplayClean) {

@@ -8,6 +8,7 @@
 #include "check/checked_buffer.hpp"
 #include "check/config_lint.hpp"
 #include "check/diagnostics.hpp"
+#include "gemm/access_metadata.hpp"
 #include "syclrt/queue.hpp"
 
 namespace {
@@ -362,7 +363,7 @@ TEST(CheckNegative, LocalMemoryOverflowIsRejected) {
   const auto findings = check::lint_config(config, 0, tiny);
   ASSERT_FALSE(findings.empty());
   EXPECT_EQ(findings[0].rule, check::LintRule::local_memory);
-  EXPECT_GT(check::local_memory_footprint_bytes(config),
+  EXPECT_GT(gemm::tiled_access_pattern(config).local_memory_bytes,
             tiny.local_memory_bytes);
 }
 

@@ -138,15 +138,6 @@ TEST(SymbolicVerifier, SafeVerdictCarriesShapePrecondition) {
   EXPECT_EQ(batched.precondition, "M >= 1 && K >= 1 && N >= 1 && Batch >= 1");
 }
 
-TEST(SymbolicVerifier, HierarchicalKernelProvesSafe) {
-  const auto result = verify_access_summary(summarize_hierarchical_gemm(8));
-  EXPECT_EQ(result.verdict, Verdict::safe);
-  for (const auto& device : perf::DeviceSpec::shipped()) {
-    EXPECT_TRUE(check_capacity(summarize_hierarchical_gemm(8), device).empty())
-        << device.name;
-  }
-}
-
 TEST(SymbolicVerifier, CapacityIsCleanOnAllShippedDevices) {
   const auto devices = perf::DeviceSpec::shipped();
   ASSERT_EQ(devices.size(), 3u);
@@ -287,15 +278,30 @@ TEST(Certify, SafeMaskFlagsNonSafeConfigs) {
   unknown.device = "d2";
   unknown.verdict = Verdict::unknown;
   report.certificates.push_back(unknown);
+  // The mask fails closed: configs 0 and 3 have no certificate at all.
   const auto mask = report.safe_mask(4);
-  EXPECT_TRUE(mask[0]);
+  EXPECT_FALSE(mask[0]);
   EXPECT_FALSE(mask[1]);  // unsafe
   EXPECT_FALSE(mask[2]);  // unknown is not safe
-  EXPECT_TRUE(mask[3]);
-  // Restricted to d1, only config 1 is masked.
+  EXPECT_FALSE(mask[3]);
+  // Restricted to d1, config 2 has no certificate either.
   const auto d1 = report.safe_mask(4, "d1");
   EXPECT_FALSE(d1[1]);
-  EXPECT_TRUE(d1[2]);
+  EXPECT_FALSE(d1[2]);
+
+  // A certified report of the first 5 configs on the R9 Nano admits exactly
+  // those 5, and nothing on a device it holds no certificate for.
+  CertifyOptions options;
+  options.max_configs = 5;
+  const std::vector<perf::DeviceSpec> r9 = {perf::DeviceSpec::amd_r9_nano()};
+  const auto partial = certify_space(gemm::enumerate_configs(), r9, options);
+  ASSERT_TRUE(partial.all_safe());
+  const auto on_r9 = partial.safe_mask(640, r9[0].name);
+  EXPECT_EQ(std::count(on_r9.begin(), on_r9.end(), true), 5);
+  for (std::size_t i = 0; i < 5; ++i) EXPECT_TRUE(on_r9[i]) << i;
+  const auto on_igpu =
+      partial.safe_mask(640, perf::DeviceSpec::integrated_gpu().name);
+  EXPECT_EQ(std::count(on_igpu.begin(), on_igpu.end(), true), 0);
 }
 
 TEST(Certify, DifferentialAgreesOnSampledConfigs) {
@@ -306,7 +312,7 @@ TEST(Certify, DifferentialAgreesOnSampledConfigs) {
   const auto& configs = gemm::enumerate_configs();
   const auto devices = perf::DeviceSpec::shipped();
   const auto report = certify_space(configs, devices, options);
-  const auto diff = differential_check(report, configs, devices, 4);
+  const auto diff = differential_check(report, configs, 4);
   EXPECT_GE(diff.configs_sampled, 4u);
   EXPECT_GT(diff.replays, 0u);
   for (const auto& mismatch : diff.mismatches) {

@@ -124,45 +124,6 @@ TEST(Queue, WorkGroupSizeLimitEnforced) {
                common::Error);
 }
 
-TEST(Queue, HierarchicalBarrierSemantics) {
-  Queue queue;
-  // Phase 1 writes per-group local memory; phase 2 reads it. The implicit
-  // barrier between parallel_for_work_item calls must make phase 1 results
-  // visible to every item in phase 2.
-  std::atomic<int> failures{0};
-  queue.parallel_for_work_group(
-      Range<1>(8), Range<1>(16), [&](const WorkGroup<1>& group) {
-        int local_sum = 0;  // models work-group local memory
-        group.parallel_for_work_item(
-            [&](const NdItem<1>&) { local_sum += 1; });
-        group.parallel_for_work_item([&](const NdItem<1>&) {
-          if (local_sum != 16) ++failures;
-        });
-      });
-  EXPECT_EQ(failures.load(), 0);
-}
-
-TEST(Queue, HierarchicalCoversAllGroups) {
-  Queue queue;
-  std::mutex mutex;
-  std::set<std::pair<std::size_t, std::size_t>> groups;
-  queue.parallel_for_work_group(Range<2>(3, 2), Range<2>(2, 2),
-                                [&](const WorkGroup<2>& group) {
-                                  std::lock_guard lock(mutex);
-                                  groups.emplace(group.get_group(0),
-                                                 group.get_group(1));
-                                });
-  EXPECT_EQ(groups.size(), 6u);
-}
-
-TEST(Queue, SingleTaskRunsOnce) {
-  Queue queue;
-  int count = 0;
-  const auto event = queue.single_task([&] { ++count; });
-  EXPECT_EQ(count, 1);
-  EXPECT_EQ(event.item_count, 1u);
-}
-
 TEST(Queue, ExceptionInKernelPropagates) {
   Queue queue;
   EXPECT_THROW(
@@ -180,9 +141,10 @@ TEST(Queue, ProfileAccumulatesAcrossSubmissions) {
   EXPECT_EQ(queue.profile().submissions, 0u);
   queue.parallel_for(NdRange<1>(Range<1>(16), Range<1>(4)),
                      [](const NdItem<1>&) {});
-  queue.single_task([] {});
+  queue.parallel_for(NdRange<1>(Range<1>(1), Range<1>(1)),
+                     [](const NdItem<1>&) {});
   EXPECT_EQ(queue.profile().submissions, 2u);
-  EXPECT_EQ(queue.profile().groups_launched, 5u);  // 4 groups + 1 task
+  EXPECT_EQ(queue.profile().groups_launched, 5u);  // 4 groups + 1 group
   EXPECT_EQ(queue.profile().items_launched, 17u);
   EXPECT_GE(queue.profile().total_seconds, 0.0);
   queue.reset_profile();
@@ -289,6 +251,28 @@ struct GroupEntryKernel {
   }
 };
 
+/// The 2-D counterpart: records each call's group and the logical range
+/// and number of items its one pass saw.
+struct GroupEntryKernel2D {
+  std::mutex* mutex;
+  std::set<std::pair<std::size_t, std::size_t>>* groups;
+  std::size_t* items;
+  Range<2>* logical;
+
+  void operator()(const WorkGroup<2>& group) const {
+    std::size_t count = 0;
+    Range<2> range;
+    group.parallel_for_work_item([&](const NdItem<2>& item) {
+      ++count;
+      range = Range<2>(item.get_global_range(0), item.get_global_range(1));
+    });
+    std::lock_guard lock(*mutex);
+    groups->emplace(group.get_group(0), group.get_group(1));
+    *items += count;
+    *logical = range;
+  }
+};
+
 TEST(Queue, WorkGroupEntryRunsOncePerGroupOnPoolAndReplay) {
   for (const bool replay : {false, true}) {
     Queue queue;
@@ -317,6 +301,19 @@ TEST(Queue, WorkGroupEntryRunsOncePerGroupOnPoolAndReplay) {
         EXPECT_EQ(run[i].second / 4, run[0].second / 4);
       }
     }
+
+    // A 2-D range: logical 5x3 in 2x2 groups pads to 3x2 groups, and every
+    // group is entered once.
+    std::set<std::pair<std::size_t, std::size_t>> groups_2d;
+    std::size_t items_2d = 0;
+    Range<2> logical_2d;
+    const auto event_2d = queue.parallel_for(
+        NdRange<2>(Range<2>(5, 3), Range<2>(2, 2)),
+        GroupEntryKernel2D{&mutex, &groups_2d, &items_2d, &logical_2d});
+    EXPECT_EQ(event_2d.group_count, 6u);
+    EXPECT_EQ(groups_2d.size(), 6u);
+    EXPECT_EQ(items_2d, 24u);
+    EXPECT_EQ(logical_2d, (Range<2>(5, 3)));
   }
 }
 

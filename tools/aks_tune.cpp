@@ -128,22 +128,26 @@ data::PerfDataset dataset_from(const Args& args) {
 // Certificate gate for a persistent store: --certify <certify.csv> (a
 // report saved by the symbolic verifier) becomes the per-config SAFE mask
 // and expected-digest table for `device`, so uncertified or
-// stale-certificate records are rejected at load.
+// stale-certificate records are rejected at load. The gate fails closed: a
+// config the report does not certify SAFE on `device` is rejected, and a
+// report with no certificate for `device` at all is an error.
 store::StoreOptions store_options_from(const Args& args,
                                        const perf::DeviceSpec& device,
                                        bool strict = false) {
   store::StoreOptions options;
   options.strict = strict;
   if (!args.has("certify")) return options;
-  const auto report =
-      check::symbolic::CertifyReport::load_csv(args.get("certify"));
+  const std::string path = args.get("certify");
+  const auto report = check::symbolic::CertifyReport::load_csv(path);
   const std::size_t num_configs = gemm::enumerate_configs().size();
   options.certified_mask = report.safe_mask(num_configs, device.name);
   options.cert_digests.assign(num_configs, 0);
+  std::size_t covered = 0;
   for (const auto& cert : report.certificates) {
     if (cert.device != device.name || cert.config_index >= num_configs) {
       continue;
     }
+    ++covered;
     // Digest over the verdict-defining fields: regenerating certificates
     // with a different outcome invalidates stored records for the config.
     const std::string row = cert.config + "|" + cert.device + "|" +
@@ -151,6 +155,9 @@ store::StoreOptions store_options_from(const Args& args,
                             cert.rule + "|" + cert.precondition;
     options.cert_digests[cert.config_index] = common::fnv1a64(row);
   }
+  AKS_CHECK(covered > 0, "certify report " << path
+                                           << " holds no certificate for "
+                                           << device.name);
   std::size_t safe = 0;
   for (const bool bit : options.certified_mask) safe += bit ? 1u : 0u;
   std::cerr << "certificate gate: " << safe << "/" << num_configs
@@ -566,7 +573,7 @@ void print_usage() {
       "                      mixed, optional @rate, or key=value pairs —\n"
       "                      see DESIGN.md; overrides AKS_FAULT_PLAN)\n"
       "         --certify <certify.csv>  gate store records on symbolic\n"
-      "                      SAFE certificates (see `aks_check certify`)\n";
+      "                      SAFE certificates (see `akscheck certify`)\n";
 }
 
 int run(const std::string& command, const Args& args) {

@@ -7,7 +7,8 @@
 //                                    corpus; races, out-of-bounds accesses,
 //                                    unguarded tails, numeric divergence;
 //   config lint        (--lint)      validate every configuration against
-//                                    device execution limits;
+//                                    device execution limits (the
+//                                    certificates' capacity rules);
 //   conv lowerings     (--conv)      replay the im2col/Winograd lowerings
 //                                    through their production code path;
 //   certificates       (certify)     symbolic access verification of every
@@ -267,8 +268,7 @@ int run(const Args& args) {
                       report.count(sym::Verdict::safe);
 
     if (args.differential) {
-      const auto diff =
-          sym::differential_check(report, configs, devices, args.samples);
+      const auto diff = sym::differential_check(report, configs, args.samples);
       std::cout << "[certify] differential: " << diff.configs_sampled
                 << " configs sampled, " << diff.replays << " replays, "
                 << diff.mismatches.size() << " mismatch(es)\n";
