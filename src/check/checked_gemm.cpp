@@ -1,9 +1,8 @@
 #include "check/checked_gemm.hpp"
 
 #include <cmath>
-#include <map>
+#include <optional>
 #include <sstream>
-#include <tuple>
 
 #include "check/checked_buffer.hpp"
 #include "common/error.hpp"
@@ -18,93 +17,10 @@ namespace {
 
 using ReadAcc = CheckedAccessor<const float>;
 using WriteAcc = CheckedAccessor<float>;
-using Key = std::tuple<int, int, int>;
 
 /// Numerical tolerance against the scalar reference (operands in [-1, 1],
 /// K bounded by the corpus; pure float summation-order error).
 constexpr double kTolerance = 1e-3;
-
-using CheckedLauncher = syclrt::Event (*)(syclrt::Queue&, ReadAcc, ReadAcc,
-                                          WriteAcc, gemm::GemmShape, int, int);
-using CheckedBatchedLauncher = syclrt::Event (*)(syclrt::Queue&, ReadAcc,
-                                                 ReadAcc, WriteAcc,
-                                                 gemm::GemmShape, std::size_t,
-                                                 int, int);
-
-template <int RowTile, int ColTile, int AccSize>
-syclrt::Event launch_checked(syclrt::Queue& queue, ReadAcc a, ReadAcc b,
-                             WriteAcc c, gemm::GemmShape shape, int wg_rows,
-                             int wg_cols) {
-  const gemm::TiledGemmKernel<RowTile, ColTile, AccSize, ReadAcc, WriteAcc>
-      kernel(a, b, c, shape);
-  return queue.parallel_for(gemm::tiled_launch_range<RowTile, ColTile, 2>(
-                                shape, 1, wg_rows, wg_cols),
-                            kernel);
-}
-
-template <int RowTile, int ColTile, int AccSize>
-syclrt::Event launch_checked_batched(syclrt::Queue& queue, ReadAcc a,
-                                     ReadAcc b, WriteAcc c,
-                                     gemm::GemmShape shape, std::size_t batch,
-                                     int wg_rows, int wg_cols) {
-  const gemm::BatchedTiledGemmKernel<RowTile, ColTile, AccSize, ReadAcc,
-                                     WriteAcc>
-      kernel(a, b, c, shape, batch);
-  return queue.parallel_for(gemm::tiled_launch_range<RowTile, ColTile, 3>(
-                                shape, batch, wg_rows, wg_cols),
-                            kernel);
-}
-
-struct CheckedEntry {
-  CheckedLauncher flat;
-  CheckedBatchedLauncher batched;
-};
-
-template <int RowTile, int ColTile, int AccSize>
-void register_one(std::map<Key, CheckedEntry>& table) {
-  table.emplace(Key{RowTile, ColTile, AccSize},
-                CheckedEntry{&launch_checked<RowTile, ColTile, AccSize>,
-                             &launch_checked_batched<RowTile, ColTile,
-                                                     AccSize>});
-}
-
-template <int RowTile, int ColTile>
-void register_acc(std::map<Key, CheckedEntry>& table) {
-  register_one<RowTile, ColTile, 1>(table);
-  register_one<RowTile, ColTile, 2>(table);
-  register_one<RowTile, ColTile, 4>(table);
-  register_one<RowTile, ColTile, 8>(table);
-}
-
-template <int RowTile>
-void register_col(std::map<Key, CheckedEntry>& table) {
-  register_acc<RowTile, 1>(table);
-  register_acc<RowTile, 2>(table);
-  register_acc<RowTile, 4>(table);
-  register_acc<RowTile, 8>(table);
-}
-
-/// The 64 compiled instantiations over checked accessors (mirrors the
-/// shipping registry's cross product).
-const std::map<Key, CheckedEntry>& checked_registry() {
-  static const std::map<Key, CheckedEntry> table = [] {
-    std::map<Key, CheckedEntry> t;
-    register_col<1>(t);
-    register_col<2>(t);
-    register_col<4>(t);
-    register_col<8>(t);
-    return t;
-  }();
-  return table;
-}
-
-const CheckedEntry& find_checked(const gemm::KernelConfig& config) {
-  const auto it = checked_registry().find(
-      Key{config.row_tile, config.col_tile, config.acc_size});
-  AKS_CHECK(it != checked_registry().end(),
-            "no checked kernel for " << config.name());
-  return it->second;
-}
 
 /// Deterministic operand seed from the launch parameters (valid for
 /// non-canonical configs too, unlike config_index()).
@@ -160,6 +76,49 @@ CheckResult finalise(AccessMonitor& monitor, std::span<const float> actual,
   return result;
 }
 
+/// The replay check_gemm and check_batched_gemm share: `batch` packed
+/// multiplies of `shape` in one batched launch, or one flat launch when
+/// `batch` is empty, on operands seeded from (config, shape, batch).
+CheckResult replay(const gemm::KernelConfig& config,
+                   const gemm::GemmShape& shape,
+                   std::optional<std::size_t> batch) {
+  std::string label = config.name() + "@" + shape.to_string();
+  if (batch) label += "xB" + std::to_string(*batch);
+  AccessMonitor monitor(label);
+
+  const std::size_t count = batch.value_or(1);
+  const std::size_t a_size = shape.m * shape.k;
+  const std::size_t b_size = shape.k * shape.n;
+  const std::size_t c_size = shape.m * shape.n;
+  common::Rng rng(operand_seed(config, shape) ^ batch.value_or(0));
+  std::vector<float> a(count * a_size);
+  std::vector<float> b(count * b_size);
+  fill_uniform(a, rng);
+  fill_uniform(b, rng);
+  std::vector<float> expected(count * c_size);
+  for (std::size_t bi = 0; bi < count; ++bi) {
+    gemm::reference_gemm(
+        std::span<const float>(a).subspan(bi * a_size, a_size),
+        std::span<const float>(b).subspan(bi * b_size, b_size),
+        std::span<float>(expected).subspan(bi * c_size, c_size), shape);
+  }
+
+  CheckedBuffer<float> a_buf("A", std::span<const float>(a), monitor);
+  CheckedBuffer<float> b_buf("B", std::span<const float>(b), monitor);
+  CheckedBuffer<float> c_buf("C", count * c_size, monitor);
+
+  syclrt::Queue queue;
+  queue.set_deterministic_replay(true);
+  if (batch) {
+    launch_checked_batched_gemm(queue, config, a_buf.read(), b_buf.read(),
+                                c_buf.write(), shape, *batch);
+  } else {
+    launch_checked_gemm(queue, config, a_buf.read(), b_buf.read(),
+                        c_buf.write(), shape);
+  }
+  return finalise(monitor, c_buf.host(), expected);
+}
+
 }  // namespace
 
 syclrt::Event launch_checked_gemm(syclrt::Queue& queue,
@@ -168,8 +127,8 @@ syclrt::Event launch_checked_gemm(syclrt::Queue& queue,
                                   CheckedAccessor<const float> b,
                                   CheckedAccessor<float> c,
                                   const gemm::GemmShape& shape) {
-  return find_checked(config).flat(queue, a, b, c, shape, config.wg_rows,
-                                   config.wg_cols);
+  return gemm::tiled_instantiation<ReadAcc, WriteAcc>(config).launch(
+      queue, a, b, c, shape, config.wg_rows, config.wg_cols);
 }
 
 syclrt::Event launch_checked_batched_gemm(syclrt::Queue& queue,
@@ -179,69 +138,20 @@ syclrt::Event launch_checked_batched_gemm(syclrt::Queue& queue,
                                           CheckedAccessor<float> c,
                                           const gemm::GemmShape& shape,
                                           std::size_t batch) {
-  return find_checked(config).batched(queue, a, b, c, shape, batch,
-                                      config.wg_rows, config.wg_cols);
+  return gemm::tiled_instantiation<ReadAcc, WriteAcc>(config).launch_batched(
+      queue, a, b, c, shape, batch, config.wg_rows, config.wg_cols);
 }
 
 CheckResult check_gemm(const gemm::KernelConfig& config,
                        const gemm::GemmShape& shape) {
-  const std::string label = config.name() + "@" + shape.to_string();
-  AccessMonitor monitor(label);
-
-  common::Rng rng(operand_seed(config, shape));
-  std::vector<float> a(shape.m * shape.k);
-  std::vector<float> b(shape.k * shape.n);
-  fill_uniform(a, rng);
-  fill_uniform(b, rng);
-  std::vector<float> expected(shape.m * shape.n);
-  gemm::reference_gemm(a, b, expected, shape);
-
-  CheckedBuffer<float> a_buf("A", std::span<const float>(a), monitor);
-  CheckedBuffer<float> b_buf("B", std::span<const float>(b), monitor);
-  CheckedBuffer<float> c_buf("C", shape.m * shape.n, monitor);
-
-  syclrt::Queue queue;
-  queue.set_deterministic_replay(true);
-  find_checked(config).flat(queue, a_buf.read(), b_buf.read(), c_buf.write(),
-                            shape, config.wg_rows, config.wg_cols);
-  return finalise(monitor, c_buf.host(), expected);
+  return replay(config, shape, std::nullopt);
 }
 
 CheckResult check_batched_gemm(const gemm::KernelConfig& config,
                                const gemm::GemmShape& shape,
                                std::size_t batch) {
   AKS_CHECK(batch > 0, "batched check needs at least one batch entry");
-  const std::string label =
-      config.name() + "@" + shape.to_string() + "xB" + std::to_string(batch);
-  AccessMonitor monitor(label);
-
-  common::Rng rng(operand_seed(config, shape) ^ batch);
-  std::vector<float> a(batch * shape.m * shape.k);
-  std::vector<float> b(batch * shape.k * shape.n);
-  fill_uniform(a, rng);
-  fill_uniform(b, rng);
-  std::vector<float> expected(batch * shape.m * shape.n);
-  for (std::size_t bi = 0; bi < batch; ++bi) {
-    gemm::reference_gemm(
-        std::span<const float>(a).subspan(bi * shape.m * shape.k,
-                                          shape.m * shape.k),
-        std::span<const float>(b).subspan(bi * shape.k * shape.n,
-                                          shape.k * shape.n),
-        std::span<float>(expected).subspan(bi * shape.m * shape.n,
-                                           shape.m * shape.n),
-        shape);
-  }
-
-  CheckedBuffer<float> a_buf("A", std::span<const float>(a), monitor);
-  CheckedBuffer<float> b_buf("B", std::span<const float>(b), monitor);
-  CheckedBuffer<float> c_buf("C", batch * shape.m * shape.n, monitor);
-
-  syclrt::Queue queue;
-  queue.set_deterministic_replay(true);
-  find_checked(config).batched(queue, a_buf.read(), b_buf.read(),
-                               c_buf.write(), shape, batch, config.wg_rows,
-                               config.wg_cols);
-  return finalise(monitor, c_buf.host(), expected);
+  return replay(config, shape, batch);
 }
 
 std::vector<gemm::GemmShape> default_shape_corpus() {

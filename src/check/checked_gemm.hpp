@@ -1,10 +1,11 @@
 // Checked execution pass: replays GEMM kernels over recording accessors.
 //
-// Every compiled instantiation of the tiled kernel family is re-instantiated
-// here over `CheckedAccessor`s — the exact same kernel bodies the shipping
-// registry launches, compiled against shadow-recording memory — and replayed
-// deterministically (single-threaded, canonical group order) on synthetic
-// operands. The pass reports:
+// The checked launches read the same table of the 64 compiled kernels as the
+// shipped ones (gemm::kTiledInstantiations), instantiated over
+// `CheckedAccessor`s: the exact kernel bodies and launch geometry the
+// shipping registry runs, compiled against shadow-recording memory. They are
+// replayed deterministically (single-threaded, canonical group order) on
+// synthetic operands. The pass reports:
 //
 //   * memory-safety findings (out-of-bounds, unguarded tail accesses,
 //     cross-work-group races) via the AccessMonitor, and
@@ -28,9 +29,10 @@
 
 namespace aks::check {
 
-/// Launches the checked instantiation matching `config` (same launch
-/// geometry as the shipping registry). The queue should be in
-/// deterministic replay mode; throws for an unknown compile-time triple.
+/// Launches the checked instantiation matching `config` (same table entry
+/// and launch geometry as gemm::launch_gemm). The queue should be in
+/// deterministic replay mode; throws common::Error for a tile or
+/// accumulator size outside {1,2,4,8}.
 syclrt::Event launch_checked_gemm(syclrt::Queue& queue,
                                   const gemm::KernelConfig& config,
                                   CheckedAccessor<const float> a,

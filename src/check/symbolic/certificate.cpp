@@ -227,11 +227,11 @@ DifferentialResult differential_check(
   const std::size_t num_configs = report.configs_checked;
   AKS_CHECK(num_configs <= configs.size(),
             "certify report covers more configs than provided");
-  std::size_t stride = 1;
-  if (samples > 0 && samples < num_configs) stride = num_configs / samples;
+  if (samples == 0 || samples > num_configs) samples = num_configs;
 
   const auto corpus = default_shape_corpus();
-  for (std::size_t i = 0; i < num_configs; i += stride) {
+  for (std::size_t j = 0; j < samples; ++j) {
+    const std::size_t i = j * num_configs / samples;
     const gemm::KernelConfig& config = configs[i];
     ++result.configs_sampled;
     const auto mismatch = [&](const std::string& device,

@@ -108,7 +108,8 @@ struct DifferentialResult {
 };
 
 /// Cross-checks `report`'s access verdicts against dynamic replays of
-/// `samples` evenly-spaced configurations (0 = every certified
+/// `samples` evenly-spaced configurations, j * certified / samples for j
+/// in [0, samples) (0 or more than certified = every certified
 /// configuration).
 [[nodiscard]] DifferentialResult differential_check(
     const CertifyReport& report, std::span<const gemm::KernelConfig> configs,

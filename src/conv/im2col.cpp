@@ -1,7 +1,6 @@
 #include "conv/im2col.hpp"
 
 #include "common/error.hpp"
-#include "gemm/registry.hpp"
 
 namespace aks::conv {
 
@@ -53,17 +52,6 @@ std::vector<float> im2col_transform(std::span<const float> input,
     }
   }
   return patches;
-}
-
-void im2col_conv2d(syclrt::Queue& queue, const gemm::KernelConfig& config,
-                   std::span<const float> input, std::span<const float> filter,
-                   std::span<float> output, const ConvShape& shape) {
-  im2col_conv2d(queue, config, input, filter, output, shape,
-                [](syclrt::Queue& q, const gemm::KernelConfig& cfg,
-                   std::span<const float> a, std::span<const float> b,
-                   std::span<float> c, const gemm::GemmShape& s) {
-                  return gemm::launch_gemm(q, cfg, a, b, c, s);
-                });
 }
 
 void im2col_conv2d(syclrt::Queue& queue, const gemm::KernelConfig& config,

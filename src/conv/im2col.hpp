@@ -12,6 +12,7 @@
 
 #include "conv/direct.hpp"
 #include "gemm/config.hpp"
+#include "gemm/registry.hpp"
 #include "gemm/shape.hpp"
 #include "syclrt/queue.hpp"
 
@@ -24,7 +25,7 @@ namespace aks::conv {
 [[nodiscard]] std::vector<float> im2col_transform(std::span<const float> input,
                                                   const ConvShape& shape);
 
-/// Launch used for the patch-matrix multiply. The default forwards to
+/// Launch used for the patch-matrix multiply. The default is
 /// gemm::launch_gemm; the checked execution mode (src/check) injects a
 /// launcher that routes the same multiply through recording buffers, so
 /// conv lowerings are analysed through their production code path.
@@ -32,16 +33,11 @@ using GemmLaunchFn = std::function<syclrt::Event(
     syclrt::Queue&, const gemm::KernelConfig&, std::span<const float>,
     std::span<const float>, std::span<float>, const gemm::GemmShape&)>;
 
-/// Runs the convolution as im2col + a tiled GEMM with `config` on `queue`.
-/// Output layout matches direct_conv2d.
-void im2col_conv2d(syclrt::Queue& queue, const gemm::KernelConfig& config,
-                   std::span<const float> input, std::span<const float> filter,
-                   std::span<float> output, const ConvShape& shape);
-
-/// As above with an injected GEMM launch (see GemmLaunchFn).
+/// Runs the convolution as im2col + a tiled GEMM with `config` on `queue`,
+/// the GEMM through `launch`. Output layout matches direct_conv2d.
 void im2col_conv2d(syclrt::Queue& queue, const gemm::KernelConfig& config,
                    std::span<const float> input, std::span<const float> filter,
                    std::span<float> output, const ConvShape& shape,
-                   const GemmLaunchFn& launch);
+                   const GemmLaunchFn& launch = gemm::launch_gemm);
 
 }  // namespace aks::conv

@@ -36,7 +36,6 @@
 #include <memory>
 
 #include "common/error.hpp"
-#include "gemm/registry.hpp"
 
 namespace aks::conv {
 
@@ -329,25 +328,9 @@ gemm::GemmShape winograd4_gemm_shape(const ConvShape& shape) {
 void winograd_conv2d(syclrt::Queue& queue, const gemm::KernelConfig& config,
                      std::span<const float> input,
                      std::span<const float> filter, std::span<float> output,
-                     const ConvShape& shape) {
-  winograd_lowering<F2>(queue, config, input, filter, output, shape,
-                        gemm::launch_batched_gemm);
-}
-
-void winograd_conv2d(syclrt::Queue& queue, const gemm::KernelConfig& config,
-                     std::span<const float> input,
-                     std::span<const float> filter, std::span<float> output,
                      const ConvShape& shape,
                      const BatchedGemmLaunchFn& launch) {
   winograd_lowering<F2>(queue, config, input, filter, output, shape, launch);
-}
-
-void winograd4_conv2d(syclrt::Queue& queue, const gemm::KernelConfig& config,
-                      std::span<const float> input,
-                      std::span<const float> filter, std::span<float> output,
-                      const ConvShape& shape) {
-  winograd_lowering<F4>(queue, config, input, filter, output, shape,
-                        gemm::launch_batched_gemm);
 }
 
 void winograd4_conv2d(syclrt::Queue& queue, const gemm::KernelConfig& config,

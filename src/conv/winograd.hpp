@@ -24,14 +24,15 @@
 
 #include "conv/direct.hpp"
 #include "gemm/config.hpp"
+#include "gemm/registry.hpp"
 #include "gemm/shape.hpp"
 #include "syclrt/queue.hpp"
 
 namespace aks::conv {
 
-/// Launch used for the batched transformed multiplies. The default
-/// forwards to gemm::launch_batched_gemm; the checked execution mode
-/// (src/check) injects a recording launcher (see conv/im2col.hpp).
+/// Launch used for the batched transformed multiplies. The default is
+/// gemm::launch_batched_gemm; the checked execution mode (src/check)
+/// injects a recording launcher (see conv/im2col.hpp).
 using BatchedGemmLaunchFn = std::function<syclrt::Event(
     syclrt::Queue&, const gemm::KernelConfig&, std::span<const float>,
     std::span<const float>, std::span<float>, const gemm::GemmShape&,
@@ -52,20 +53,14 @@ inline constexpr std::size_t kWinogradF4Multiplies = 36;  // 6x6 positions
 [[nodiscard]] gemm::GemmShape winograd_gemm_shape(const ConvShape& shape);
 
 /// Runs the convolution via Winograd F(2x2, 3x3): three transform kernels
-/// and the sixteen multiplies with the tiled GEMM kernel `config`, all on
-/// `queue`. Output layout matches direct_conv2d. Throws when the shape is
-/// not applicable.
-void winograd_conv2d(syclrt::Queue& queue, const gemm::KernelConfig& config,
-                     std::span<const float> input,
-                     std::span<const float> filter, std::span<float> output,
-                     const ConvShape& shape);
-
-/// As above with an injected batched GEMM launch.
-void winograd_conv2d(syclrt::Queue& queue, const gemm::KernelConfig& config,
-                     std::span<const float> input,
-                     std::span<const float> filter, std::span<float> output,
-                     const ConvShape& shape,
-                     const BatchedGemmLaunchFn& launch);
+/// and the sixteen multiplies with the tiled GEMM kernel `config` through
+/// `launch`, all on `queue`. Output layout matches direct_conv2d. Throws
+/// when the shape is not applicable.
+void winograd_conv2d(
+    syclrt::Queue& queue, const gemm::KernelConfig& config,
+    std::span<const float> input, std::span<const float> filter,
+    std::span<float> output, const ConvShape& shape,
+    const BatchedGemmLaunchFn& launch = gemm::launch_batched_gemm);
 
 // --- F(4x4, 3x3) -------------------------------------------------------------
 // Larger output tiles (4x4 from 6x6 input tiles, 36 multiplies) cut the
@@ -80,16 +75,10 @@ void winograd_conv2d(syclrt::Queue& queue, const gemm::KernelConfig& config,
 
 /// Runs the convolution via Winograd F(4x4, 3x3) (same applicability rules
 /// as F(2x2, 3x3): dense 3x3, stride 1).
-void winograd4_conv2d(syclrt::Queue& queue, const gemm::KernelConfig& config,
-                      std::span<const float> input,
-                      std::span<const float> filter, std::span<float> output,
-                      const ConvShape& shape);
-
-/// As above with an injected batched GEMM launch.
-void winograd4_conv2d(syclrt::Queue& queue, const gemm::KernelConfig& config,
-                      std::span<const float> input,
-                      std::span<const float> filter, std::span<float> output,
-                      const ConvShape& shape,
-                      const BatchedGemmLaunchFn& launch);
+void winograd4_conv2d(
+    syclrt::Queue& queue, const gemm::KernelConfig& config,
+    std::span<const float> input, std::span<const float> filter,
+    std::span<float> output, const ConvShape& shape,
+    const BatchedGemmLaunchFn& launch = gemm::launch_batched_gemm);
 
 }  // namespace aks::conv

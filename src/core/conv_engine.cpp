@@ -1,10 +1,26 @@
 #include "core/conv_engine.hpp"
 
+#include <optional>
+
 #include "common/error.hpp"
 #include "conv/im2col.hpp"
 #include "conv/winograd.hpp"
 
 namespace aks::select {
+
+std::vector<ConvLowering> conv_lowerings(const conv::ConvShape& shape) {
+  std::vector<ConvLowering> out = {
+      {data::Transform::kIm2col, conv::im2col_gemm_shape(shape), 1}};
+  if (conv::winograd_applicable(shape)) {
+    out.push_back({data::Transform::kWinograd,
+                   conv::winograd_gemm_shape(shape),
+                   conv::kWinogradF2Multiplies});
+    out.push_back({data::Transform::kWinograd4,
+                   conv::winograd4_gemm_shape(shape),
+                   conv::kWinogradF4Multiplies});
+  }
+  return out;
+}
 
 ConvEngine::ConvEngine(std::shared_ptr<const KernelSelector> selector,
                        perf::CostModel cost_model)
@@ -14,29 +30,19 @@ ConvEngine::ConvEngine(std::shared_ptr<const KernelSelector> selector,
 }
 
 ConvEngine::Plan ConvEngine::plan(const conv::ConvShape& shape) const {
-  auto plan_for = [&](data::Transform transform,
-                      const gemm::GemmShape& gemm_shape, std::size_t batch) {
+  std::optional<Plan> best;
+  for (const ConvLowering& lowering : conv_lowerings(shape)) {
     Plan candidate;
-    candidate.transform = transform;
-    candidate.gemm_shape = gemm_shape;
-    candidate.config = selector_->select_config(gemm_shape);
+    candidate.transform = lowering.transform;
+    candidate.gemm_shape = lowering.gemm_shape;
+    candidate.config = selector_->select_config(lowering.gemm_shape);
     candidate.modelled_seconds = cost_model_.predict_batched_seconds(
-        candidate.config, gemm_shape, batch);
-    return candidate;
-  };
-
-  Plan best =
-      plan_for(data::Transform::kIm2col, conv::im2col_gemm_shape(shape), 1);
-  if (conv::winograd_applicable(shape)) {
-    // Both Winograd tile sizes run their multiplies as one batched launch.
-    const Plan wino = plan_for(data::Transform::kWinograd,
-                               conv::winograd_gemm_shape(shape), 16);
-    if (wino.modelled_seconds < best.modelled_seconds) best = wino;
-    const Plan wino4 = plan_for(data::Transform::kWinograd4,
-                                conv::winograd4_gemm_shape(shape), 36);
-    if (wino4.modelled_seconds < best.modelled_seconds) best = wino4;
+        candidate.config, lowering.gemm_shape, lowering.multiplies);
+    if (!best || candidate.modelled_seconds < best->modelled_seconds) {
+      best = candidate;
+    }
   }
-  return best;
+  return *best;
 }
 
 ConvEngine::Plan ConvEngine::run(syclrt::Queue& queue,

@@ -12,6 +12,7 @@
 
 #include <memory>
 #include <span>
+#include <vector>
 
 #include "conv/direct.hpp"
 #include "core/selector.hpp"
@@ -20,6 +21,19 @@
 #include "syclrt/queue.hpp"
 
 namespace aks::select {
+
+/// One way to run a convolution as GEMM: the lowering, the shape of its
+/// GEMM, and how many multiplies of that shape its one launch runs.
+struct ConvLowering {
+  data::Transform transform = data::Transform::kIm2col;
+  gemm::GemmShape gemm_shape;
+  std::size_t multiplies = 1;
+};
+
+/// The lowerings that apply to `shape`, im2col first, then Winograd
+/// F(2x2, 3x3) and F(4x4, 3x3) when the convolution is dense 3x3 stride 1.
+[[nodiscard]] std::vector<ConvLowering> conv_lowerings(
+    const conv::ConvShape& shape);
 
 class ConvEngine {
  public:

@@ -3,53 +3,33 @@
 #include <limits>
 
 #include "common/error.hpp"
-#include "conv/im2col.hpp"
-#include "conv/winograd.hpp"
 #include "dataset/lowering.hpp"
 
 namespace aks::select {
 
 namespace {
 
-/// Candidate lowering of one layer: the GEMM it produces and how many
-/// multiplies run per launch.
-struct Lowering {
-  data::Transform transform;
-  gemm::GemmShape shape;
-  std::size_t batch_multiplies;
-};
-
-std::vector<Lowering> lowerings_of_conv(const data::ConvLayer& conv,
-                                        int batch) {
-  std::vector<Lowering> out;
-  if (const auto im2col = data::im2col_shape(conv, batch)) {
-    out.push_back({data::Transform::kIm2col, *im2col, 1});
-  }
-  if (const auto wino = data::winograd_shape(conv, batch)) {
-    out.push_back({data::Transform::kWinograd, *wino, 16});
-    // F(4x4, 3x3) applies exactly where F(2x2, 3x3) does.
-    conv::ConvShape shape;
-    shape.batch = batch;
-    shape.in_height = conv.in_height;
-    shape.in_width = conv.in_width;
-    shape.in_channels = conv.in_channels;
-    shape.out_channels = conv.out_channels;
-    shape.kernel = conv.kernel;
-    shape.stride = conv.stride;
-    shape.padding = conv.padding;
-    out.push_back({data::Transform::kWinograd4,
-                   conv::winograd4_gemm_shape(shape), 36});
-  }
-  return out;
+conv::ConvShape conv_shape(const data::ConvLayer& conv, int batch) {
+  conv::ConvShape shape;
+  shape.batch = batch;
+  shape.in_height = conv.in_height;
+  shape.in_width = conv.in_width;
+  shape.in_channels = conv.in_channels;
+  shape.out_channels = conv.out_channels;
+  shape.kernel = conv.kernel;
+  shape.stride = conv.stride;
+  shape.padding = conv.padding;
+  return shape;
 }
 
 /// Best modelled time for one lowering over all 640 configurations.
-double optimal_time(const perf::CostModel& model, const Lowering& lowering) {
+double optimal_time(const perf::CostModel& model,
+                    const ConvLowering& lowering) {
   double best = std::numeric_limits<double>::infinity();
   for (const auto& config : gemm::enumerate_configs()) {
     best = std::min(best, model.predict_batched_seconds(
-                              config, lowering.shape,
-                              lowering.batch_multiplies));
+                              config, lowering.gemm_shape,
+                              lowering.multiplies));
   }
   return best;
 }
@@ -65,7 +45,7 @@ NetworkEstimate estimate_network(const ConvEngine& engine,
   estimate.network = network.name;
 
   auto add_layer = [&](const std::string& name,
-                       const std::vector<Lowering>& lowerings,
+                       const std::vector<ConvLowering>& lowerings,
                        const ConvEngine::Plan& plan) {
     LayerEstimate layer;
     layer.layer = name;
@@ -79,8 +59,8 @@ NetworkEstimate estimate_network(const ConvEngine& engine,
     for (const auto& lowering : lowerings) {
       layer.fixed_seconds = std::min(
           layer.fixed_seconds,
-          model.predict_batched_seconds(fixed, lowering.shape,
-                                        lowering.batch_multiplies));
+          model.predict_batched_seconds(fixed, lowering.gemm_shape,
+                                        lowering.multiplies));
       layer.optimal_seconds =
           std::min(layer.optimal_seconds, optimal_time(model, lowering));
     }
@@ -92,35 +72,22 @@ NetworkEstimate estimate_network(const ConvEngine& engine,
   };
 
   for (const auto& conv : network.convs) {
-    const auto lowerings = lowerings_of_conv(conv, batch);
-    if (lowerings.empty()) continue;  // depthwise: no dense GEMM lowering
-
-    conv::ConvShape shape;
-    shape.batch = batch;
-    shape.in_height = conv.in_height;
-    shape.in_width = conv.in_width;
-    shape.in_channels = conv.in_channels;
-    shape.out_channels = conv.out_channels;
-    shape.kernel = conv.kernel;
-    shape.stride = conv.stride;
-    shape.padding = conv.padding;
-    add_layer(conv.name, lowerings, engine.plan(shape));
+    if (conv.groups != 1) continue;  // depthwise: no dense GEMM lowering
+    const conv::ConvShape shape = conv_shape(conv, batch);
+    add_layer(conv.name, conv_lowerings(shape), engine.plan(shape));
   }
 
   for (const auto& fc : network.fcs) {
-    const Lowering lowering{data::Transform::kFullyConnected,
-                            data::fc_shape(fc, batch), 1};
+    const ConvLowering lowering{data::Transform::kFullyConnected,
+                                data::fc_shape(fc, batch), 1};
     // FC layers have exactly one lowering; plan it directly through the
     // selector (the engine API is convolution-shaped).
     ConvEngine::Plan plan;
     plan.transform = data::Transform::kFullyConnected;
-    plan.gemm_shape = lowering.shape;
-    plan.config = [&] {
-      // Reuse the engine's selector via a 1x1 convolution equivalent is
-      // unnecessary; select directly on the GEMM shape.
-      return engine.selector().select_config(lowering.shape);
-    }();
-    plan.modelled_seconds = model.predict_seconds(plan.config, lowering.shape);
+    plan.gemm_shape = lowering.gemm_shape;
+    plan.config = engine.selector().select_config(lowering.gemm_shape);
+    plan.modelled_seconds =
+        model.predict_seconds(plan.config, lowering.gemm_shape);
     add_layer(fc.name, {lowering}, plan);
   }
   return estimate;

@@ -1,16 +1,13 @@
 #include "dataset/benchmark_runner.hpp"
 
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <limits>
-#include <thread>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/sync.hpp"
-#include "common/thread_annotations.hpp"
 #include "common/thread_pool.hpp"
 #include "faults/injector.hpp"
 #include "gemm/registry.hpp"
@@ -19,40 +16,6 @@
 namespace aks::data {
 
 namespace {
-
-// Counters shared across the worker threads of one run, flushed into the
-// caller's MetricsRegistry at the end (a run is one logical operation; the
-// registry sees totals, not per-row noise).
-struct RunnerCounters {
-  std::atomic<std::uint64_t> launch_failures{0};
-  std::atomic<std::uint64_t> hangs{0};
-  std::atomic<std::uint64_t> timing_nans{0};
-  std::atomic<std::uint64_t> outliers_rejected{0};
-  std::atomic<std::uint64_t> retries{0};
-  std::atomic<std::uint64_t> cells_fell_back{0};
-  std::atomic<std::uint64_t> rows_corrupted{0};
-  std::atomic<std::uint64_t> rows_repaired{0};
-  aks::Mutex backoff_mutex{"dataset.backoff"};
-  double backoff_seconds AKS_GUARDED_BY(backoff_mutex) = 0.0;
-
-  void flush(common::MetricsRegistry* metrics) {
-    if (metrics == nullptr) return;
-    double backoff = 0.0;
-    {
-      aks::MutexLock lock(backoff_mutex);
-      backoff = backoff_seconds;
-    }
-    metrics->counter("runner.launch_failures").add(launch_failures.load());
-    metrics->counter("runner.hangs").add(hangs.load());
-    metrics->counter("runner.timing_nans").add(timing_nans.load());
-    metrics->counter("runner.outliers_rejected").add(outliers_rejected.load());
-    metrics->counter("runner.retries").add(retries.load());
-    metrics->counter("runner.cells_fell_back").add(cells_fell_back.load());
-    metrics->counter("runner.rows_corrupted").add(rows_corrupted.load());
-    metrics->counter("runner.rows_repaired").add(rows_repaired.load());
-    metrics->accumulator("runner.backoff_seconds").add(backoff);
-  }
-};
 
 std::uint64_t cell_key(const gemm::GemmShape& shape, std::size_t config_index,
                        int attempt) {
@@ -63,7 +26,7 @@ std::uint64_t cell_key(const gemm::GemmShape& shape, std::size_t config_index,
 
 double reduce_samples(std::vector<double>& samples,
                       const RunnerOptions& options, int* outliers_rejected) {
-  const auto kept = common::reject_outliers_mad(samples, options.mad_threshold);
+  const auto kept = common::reject_outliers_mad(samples, kMadThreshold);
   *outliers_rejected +=
       static_cast<int>(samples.size()) - static_cast<int>(kept.size());
   switch (options.aggregate) {
@@ -81,27 +44,12 @@ CellMeasurement measure_cell(const perf::TimingModel& timing,
                              const gemm::KernelConfig& config,
                              std::size_t config_index,
                              const gemm::GemmShape& shape,
-                             const RunnerOptions& options,
-                             RunnerCounters* counters) {
+                             const RunnerOptions& options) {
   CellMeasurement result;
   std::vector<double> samples;
   samples.reserve(static_cast<std::size_t>(options.iterations));
-  double backoff = options.backoff_seconds;
-  for (int attempt = 0; attempt <= options.max_retries; ++attempt) {
+  for (int attempt = 0; attempt <= kMaxRetries; ++attempt) {
     result.attempts = attempt + 1;
-    if (attempt > 0) {
-      // Retry with exponential back-off: give a glitching device (or its
-      // simulation) time to recover before burning another attempt.
-      if (counters != nullptr) {
-        aks::MutexLock lock(counters->backoff_mutex);
-        counters->backoff_seconds += backoff;
-      }
-      if (backoff > 0.0) {
-        std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
-        backoff *= 2.0;
-      }
-      if (counters != nullptr) counters->retries.fetch_add(1);
-    }
     faults::FaultScope scope(
         faults::site_bit(faults::Site::kKernelLaunch) |
             faults::site_bit(faults::Site::kHostTiming),
@@ -112,11 +60,9 @@ CellMeasurement measure_cell(const perf::TimingModel& timing,
         faults::maybe_inject_launch_fault();
       } catch (const faults::LaunchFailure&) {
         ++result.launch_failures;
-        if (counters != nullptr) counters->launch_failures.fetch_add(1);
         continue;
       } catch (const faults::DeadlineExceeded&) {
         ++result.hangs;
-        if (counters != nullptr) counters->hangs.fetch_add(1);
         continue;
       }
       double t = timing.time_run(
@@ -133,7 +79,6 @@ CellMeasurement measure_cell(const perf::TimingModel& timing,
         samples.push_back(t);
       } else {
         ++result.nan_samples;
-        if (counters != nullptr) counters->timing_nans.fetch_add(1);
       }
     }
     // One valid sample is enough to aggregate, but keep retrying while a
@@ -145,15 +90,10 @@ CellMeasurement measure_cell(const perf::TimingModel& timing,
     // the analytic noise-free prior rather than poisoning the dataset with
     // a NaN or aborting a 100k-cell sweep for one dead cell.
     result.fell_back = true;
-    if (counters != nullptr) counters->cells_fell_back.fetch_add(1);
     result.seconds = timing.model().predict_seconds(config, shape);
     return result;
   }
   result.seconds = reduce_samples(samples, options, &result.outliers_rejected);
-  if (counters != nullptr && result.outliers_rejected > 0) {
-    counters->outliers_rejected.fetch_add(
-        static_cast<std::uint64_t>(result.outliers_rejected));
-  }
   return result;
 }
 
@@ -184,7 +124,7 @@ CellMeasurement measure_cell_robust(const perf::TimingModel& timing,
                                     const RunnerOptions& options) {
   AKS_CHECK(options.iterations > 0, "need at least one iteration");
   return measure_cell(timing, config, gemm::config_index(config), shape,
-                      options, nullptr);
+                      options);
 }
 
 PerfDataset run_model_benchmarks(const std::vector<LoweredGemm>& shapes,
@@ -199,7 +139,6 @@ PerfDataset run_model_benchmarks(const std::vector<LoweredGemm>& shapes,
   // the legacy best-of-N measurement below is bit-identical to previous
   // releases (golden datasets and determinism tests depend on that).
   const bool robust = faults::plan_active();
-  RunnerCounters counters;
 
   common::Matrix times(shapes.size(), configs.size());
   std::atomic<std::size_t> done{0};
@@ -210,8 +149,7 @@ PerfDataset run_model_benchmarks(const std::vector<LoweredGemm>& shapes,
       shapes.size(), [&](std::size_t r) {
         const gemm::GemmShape& shape = shapes[r].shape;
         const auto measure = [&](std::size_t c) {
-          return robust ? measure_cell(timing, configs[c], c, shape, options,
-                                       &counters)
+          return robust ? measure_cell(timing, configs[c], c, shape, options)
                               .seconds
                         : timing.best_of(configs[c], shape,
                                          options.iterations);
@@ -223,7 +161,7 @@ PerfDataset run_model_benchmarks(const std::vector<LoweredGemm>& shapes,
           // Corrupt-row faults damage the assembled record *after*
           // measurement (a truncated CSV write, a bit-flipped buffer).
           // Recovery: re-measure the damaged cells, re-probe; after
-          // max_retries, repair survivors from the analytic prior so a
+          // kMaxRetries, repair survivors from the analytic prior so a
           // non-finite row never ships.
           const std::uint64_t row_key =
               faults::mix_key(shape.m, shape.k, shape.n, 0xdadaULL);
@@ -236,11 +174,10 @@ PerfDataset run_model_benchmarks(const std::vector<LoweredGemm>& shapes,
               if (const auto fault = faults::probe(faults::Site::kDatasetRow);
                   fault.kind == faults::FaultKind::kCorruptRow) {
                 corrupt_row(times, r, scope.key());
-                counters.rows_corrupted.fetch_add(1);
               }
             }
             if (row_valid(times, r)) break;
-            const bool out_of_retries = row_attempt >= options.max_retries;
+            const bool out_of_retries = row_attempt >= kMaxRetries;
             for (std::size_t c = 0; c < configs.size(); ++c) {
               const double t = times(r, c);
               if (std::isfinite(t) && t > 0.0) continue;
@@ -249,11 +186,7 @@ PerfDataset run_model_benchmarks(const std::vector<LoweredGemm>& shapes,
                       ? timing.model().predict_seconds(configs[c], shape)
                       : measure(c);
             }
-            if (out_of_retries) {
-              counters.rows_repaired.fetch_add(1);
-              break;
-            }
-            counters.retries.fetch_add(1);
+            if (out_of_retries) break;
           }
         }
         if (options.progress) {
@@ -265,7 +198,6 @@ PerfDataset run_model_benchmarks(const std::vector<LoweredGemm>& shapes,
           done.fetch_add(1, std::memory_order_relaxed);
         }
       });
-  counters.flush(options.metrics);
   return PerfDataset(shapes, std::move(times));
 }
 

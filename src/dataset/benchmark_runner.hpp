@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <functional>
 
-#include "common/metrics.hpp"
 #include "dataset/extract.hpp"
 #include "dataset/perf_dataset.hpp"
 #include "perfmodel/cost_model.hpp"
@@ -41,24 +40,17 @@ struct RunnerOptions {
   // Without an installed plan the runner takes the legacy best-of-N path,
   // bit-identical to previous releases.
 
-  /// Extra measurement attempts per cell (and per row, for corrupt-row
-  /// recovery) when faults leave too few valid samples.
-  int max_retries = 3;
-  /// Base back-off before a retry, doubled per attempt. The default 0 skips
-  /// sleeping — in model mode a retry has no device to cool down — but the
-  /// budget is still recorded in `runner.backoff_seconds`.
-  double backoff_seconds = 0.0;
   /// Reduction applied to the MAD-filtered samples of a cell.
   enum class Aggregate { kBestOf, kMedian, kTrimmedMean };
   Aggregate aggregate = Aggregate::kBestOf;
-  /// MAD rejection threshold (scaled MADs from the median).
-  double mad_threshold = 3.5;
-  /// Optional sink for the robustness counters: runner.launch_failures,
-  /// runner.hangs, runner.timing_nans, runner.outliers_rejected,
-  /// runner.retries, runner.cells_fell_back, runner.rows_corrupted,
-  /// runner.rows_repaired, runner.backoff_seconds. Must outlive the run.
-  common::MetricsRegistry* metrics = nullptr;
 };
+
+/// Extra measurement attempts per cell (and per row, for corrupt-row
+/// recovery) when faults leave too few valid samples.
+inline constexpr int kMaxRetries = 3;
+/// MAD rejection threshold of a cell's samples (scaled MADs from the
+/// median).
+inline constexpr double kMadThreshold = 3.5;
 
 /// Outcome of one robustly measured (shape, config) cell.
 struct CellMeasurement {
@@ -77,12 +69,12 @@ struct CellMeasurement {
 };
 
 /// Robustly measures one (shape, config) cell against the timing model:
-/// retry-with-backoff around injected launch failures/hangs, NaN-sample
-/// rejection, MAD-based outlier rejection, then the configured reduction.
-/// Deterministic for a fixed fault plan: fault decisions are keyed on
-/// (shape, config, attempt), never on thread identity. Exposed for tests
-/// and the fault-matrix bench; run_model_benchmarks uses it per cell
-/// whenever a fault plan is active.
+/// up to kMaxRetries retries around injected launch failures/hangs,
+/// NaN-sample rejection, MAD-based outlier rejection, then the configured
+/// reduction. Deterministic for a fixed fault plan: fault decisions are
+/// keyed on (shape, config, attempt), never on thread identity. Exposed for
+/// tests; run_model_benchmarks uses it per cell whenever a fault plan is
+/// active.
 [[nodiscard]] CellMeasurement measure_cell_robust(
     const perf::TimingModel& timing, const gemm::KernelConfig& config,
     const gemm::GemmShape& shape, const RunnerOptions& options = {});

@@ -1,8 +1,7 @@
 #include "gemm/config.hpp"
 
 #include <algorithm>
-#include <set>
-#include <tuple>
+#include <bitset>
 
 #include "common/error.hpp"
 #include "common/strings.hpp"
@@ -11,20 +10,20 @@ namespace aks::gemm {
 
 namespace {
 
-int tile_index(int value) {
-  const auto& sizes = tile_sizes();
-  const auto it = std::find(sizes.begin(), sizes.end(), value);
-  AKS_CHECK(it != sizes.end(), "tile size " << value << " not in {1,2,4,8}");
-  return static_cast<int>(std::distance(sizes.begin(), it));
+std::size_t tile_index(int value) {
+  const auto it = std::find(kTileSizes.begin(), kTileSizes.end(), value);
+  AKS_CHECK(it != kTileSizes.end(),
+            "tile size " << value << " not in {1,2,4,8}");
+  return static_cast<std::size_t>(std::distance(kTileSizes.begin(), it));
 }
 
-int wg_index(int rows, int cols) {
+std::size_t wg_index(int rows, int cols) {
   const auto& shapes = work_group_shapes();
   const auto it = std::find(shapes.begin(), shapes.end(),
                             std::make_pair(rows, cols));
   AKS_CHECK(it != shapes.end(),
             "work-group shape " << rows << "x" << cols << " not supported");
-  return static_cast<int>(std::distance(shapes.begin(), it));
+  return static_cast<std::size_t>(std::distance(shapes.begin(), it));
 }
 
 }  // namespace
@@ -58,11 +57,6 @@ KernelConfig KernelConfig::parse(const std::string& name) {
   return config;
 }
 
-const std::array<int, 4>& tile_sizes() {
-  static const std::array<int, 4> sizes = {1, 2, 4, 8};
-  return sizes;
-}
-
 const std::array<std::pair<int, int>, 10>& work_group_shapes() {
   // The ten shapes listed in Section II of the paper.
   static const std::array<std::pair<int, int>, 10> shapes = {{
@@ -76,9 +70,9 @@ const std::vector<KernelConfig>& enumerate_configs() {
   static const std::vector<KernelConfig> configs = [] {
     std::vector<KernelConfig> out;
     out.reserve(640);
-    for (int rt : tile_sizes())
-      for (int ct : tile_sizes())
-        for (int acc : tile_sizes())
+    for (int rt : kTileSizes)
+      for (int ct : kTileSizes)
+        for (int acc : kTileSizes)
           for (const auto& [rows, cols] : work_group_shapes())
             out.push_back(KernelConfig{rt, ct, acc, rows, cols});
     return out;
@@ -86,20 +80,23 @@ const std::vector<KernelConfig>& enumerate_configs() {
   return configs;
 }
 
+std::size_t instantiation_index(const KernelConfig& config) {
+  const std::size_t rt = tile_index(config.row_tile);
+  const std::size_t ct = tile_index(config.col_tile);
+  const std::size_t acc = tile_index(config.acc_size);
+  return (rt * kTileSizes.size() + ct) * kTileSizes.size() + acc;
+}
+
 std::size_t config_index(const KernelConfig& config) {
-  const auto rt = static_cast<std::size_t>(tile_index(config.row_tile));
-  const auto ct = static_cast<std::size_t>(tile_index(config.col_tile));
-  const auto acc = static_cast<std::size_t>(tile_index(config.acc_size));
-  const auto wg =
-      static_cast<std::size_t>(wg_index(config.wg_rows, config.wg_cols));
-  return ((rt * 4 + ct) * 4 + acc) * 10 + wg;
+  const std::size_t kernel = instantiation_index(config);
+  return kernel * work_group_shapes().size() +
+         wg_index(config.wg_rows, config.wg_cols);
 }
 
 std::size_t count_compiled_kernels(const std::vector<KernelConfig>& configs) {
-  std::set<std::tuple<int, int, int>> compiled;
-  for (const auto& c : configs)
-    compiled.emplace(c.row_tile, c.col_tile, c.acc_size);
-  return compiled.size();
+  std::bitset<kInstantiationCount> compiled;
+  for (const auto& c : configs) compiled.set(instantiation_index(c));
+  return compiled.count();
 }
 
 }  // namespace aks::gemm

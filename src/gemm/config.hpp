@@ -48,7 +48,17 @@ struct KernelConfig {
 };
 
 /// The tile/accumulator sizes considered by the case study.
-[[nodiscard]] const std::array<int, 4>& tile_sizes();
+inline constexpr std::array<int, 4> kTileSizes = {1, 2, 4, 8};
+
+/// Number of compiled kernels: one per (row_tile, col_tile, acc_size).
+inline constexpr std::size_t kInstantiationCount =
+    kTileSizes.size() * kTileSizes.size() * kTileSizes.size();
+
+/// Index of the config's compiled kernel in [0, kInstantiationCount), in
+/// the order row_tile (slowest), col_tile, acc_size; the work-group shape
+/// is not part of it. Throws common::Error when a tile or accumulator size
+/// is not in {1,2,4,8}.
+[[nodiscard]] std::size_t instantiation_index(const KernelConfig& config);
 
 /// The ten work-group shapes considered by the case study, as (rows, cols).
 [[nodiscard]] const std::array<std::pair<int, int>, 10>& work_group_shapes();
@@ -63,6 +73,7 @@ struct KernelConfig {
 
 /// Number of distinct compiled kernels (compile-time parameter combinations)
 /// present in a set of configurations — the paper's library-size cost metric.
+/// Throws like instantiation_index() for a config outside the family.
 [[nodiscard]] std::size_t count_compiled_kernels(
     const std::vector<KernelConfig>& configs);
 

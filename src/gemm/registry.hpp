@@ -1,13 +1,13 @@
-// Type-erased launch table over the 64 compiled kernel instantiations.
+// Launch entry points over the 64 compiled kernel instantiations.
 //
-// This is the piece the paper's library-size argument is about: every entry
-// here is a separately compiled kernel that a shipping library must carry.
-// `launch_gemm` picks the instantiation matching a KernelConfig's
-// compile-time parameters and launches it with the config's runtime
-// work-group shape.
+// This is the piece the paper's library-size argument is about: every
+// instantiation is a separately compiled kernel that a shipping library must
+// carry. They are listed once, in gemm::kTiledInstantiations
+// (tiled_kernel.hpp); `launch_gemm` indexes that table with the
+// KernelConfig's compile-time parameters and launches the entry with the
+// config's runtime work-group shape.
 #pragma once
 
-#include <functional>
 #include <span>
 
 #include "gemm/config.hpp"
@@ -16,21 +16,13 @@
 
 namespace aks::gemm {
 
-/// Signature of a type-erased kernel launcher.
-using KernelLauncher = std::function<syclrt::Event(
-    syclrt::Queue&, std::span<const float>, std::span<const float>,
-    std::span<float>, GemmShape, int wg_rows, int wg_cols)>;
-
-/// Number of compiled kernel instantiations in the registry (64).
+/// Number of compiled kernel instantiations (64).
 [[nodiscard]] std::size_t registry_size();
-
-/// The launcher for a (row_tile, col_tile, acc_size) triple; throws
-/// common::Error when the triple is not one of the 64 compiled kernels.
-[[nodiscard]] const KernelLauncher& find_kernel(int row_tile, int col_tile,
-                                                int acc_size);
 
 /// Runs C = A * B with the given configuration on `queue`.
 /// Validates operand sizes; returns the launch event (with wall time).
+/// Throws common::Error when the config's tile or accumulator size is not
+/// one of the compiled kernels.
 syclrt::Event launch_gemm(syclrt::Queue& queue, const KernelConfig& config,
                           std::span<const float> a, std::span<const float> b,
                           std::span<float> c, const GemmShape& shape);

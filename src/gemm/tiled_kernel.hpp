@@ -27,14 +27,20 @@
 // checked execution mode (src/check) can instantiate the very same kernel
 // over recording accessors — the analysed code path is the shipped one, not
 // a checked re-implementation.
+//
+// `kTiledInstantiations` at the end of this file is the one list of the 64
+// compiled kernels: the shipped launches (registry.cpp) read it over spans,
+// the checked ones (src/check) over recording accessors.
 #pragma once
 
 #include <algorithm>
 #include <array>
 #include <optional>
 #include <span>
+#include <utility>
 
 #include "common/error.hpp"
+#include "gemm/config.hpp"
 #include "gemm/shape.hpp"
 #include "syclrt/queue.hpp"
 
@@ -48,8 +54,8 @@ namespace aks::gemm {
 /// group's A and B panels fall out of cache.
 inline constexpr std::size_t kKChunk = 128;
 
-/// The launch geometry of every tiled-GEMM launch, shipped (registry.cpp)
-/// and checked (src/check) alike: one work-item per RowTile x ColTile
+/// The launch geometry of every tiled-GEMM launch, shipped and checked
+/// alike (see kTiledInstantiations): one work-item per RowTile x ColTile
 /// output tile, in wg_rows x wg_cols work-groups that the executor pads to
 /// whole groups (the SYCL-DNN launch convention; the kernels guard). A flat
 /// launch (Dims 2) has batch 1. A batched launch (Dims 3) leads with the
@@ -256,5 +262,73 @@ class BatchedTiledGemmKernel {
   GemmShape shape_;
   std::size_t batch_;
 };
+
+/// One compiled kernel of the family: its compile-time parameters and its
+/// flat and batched launches over accessor types ConstAcc / MutAcc, in a
+/// runtime wg_rows x wg_cols work-group.
+template <typename ConstAcc, typename MutAcc>
+struct TiledInstantiation {
+  int row_tile;
+  int col_tile;
+  int acc_size;
+  syclrt::Event (*launch)(syclrt::Queue&, ConstAcc a, ConstAcc b, MutAcc c,
+                          const GemmShape&, int wg_rows, int wg_cols);
+  syclrt::Event (*launch_batched)(syclrt::Queue&, ConstAcc a, ConstAcc b,
+                                  MutAcc c, const GemmShape&,
+                                  std::size_t batch, int wg_rows,
+                                  int wg_cols);
+};
+
+namespace detail {
+
+template <int RowTile, int ColTile, int AccSize, typename ConstAcc,
+          typename MutAcc>
+constexpr TiledInstantiation<ConstAcc, MutAcc> instantiation() {
+  using Flat = TiledGemmKernel<RowTile, ColTile, AccSize, ConstAcc, MutAcc>;
+  using Batched =
+      BatchedTiledGemmKernel<RowTile, ColTile, AccSize, ConstAcc, MutAcc>;
+  return {RowTile, ColTile, AccSize,
+          [](syclrt::Queue& queue, ConstAcc a, ConstAcc b, MutAcc c,
+             const GemmShape& shape, int wg_rows, int wg_cols) {
+            return queue.parallel_for(tiled_launch_range<RowTile, ColTile, 2>(
+                                          shape, 1, wg_rows, wg_cols),
+                                      Flat(a, b, c, shape));
+          },
+          [](syclrt::Queue& queue, ConstAcc a, ConstAcc b, MutAcc c,
+             const GemmShape& shape, std::size_t batch, int wg_rows,
+             int wg_cols) {
+            return queue.parallel_for(tiled_launch_range<RowTile, ColTile, 3>(
+                                          shape, batch, wg_rows, wg_cols),
+                                      Batched(a, b, c, shape, batch));
+          }};
+}
+
+/// Entry I compiles the kernel whose instantiation_index() is I.
+template <typename ConstAcc, typename MutAcc, std::size_t... I>
+constexpr auto instantiation_table(std::index_sequence<I...>) {
+  constexpr std::size_t n = kTileSizes.size();
+  return std::array{instantiation<kTileSizes[I / (n * n)],
+                                  kTileSizes[I / n % n], kTileSizes[I % n],
+                                  ConstAcc, MutAcc>()...};
+}
+
+}  // namespace detail
+
+/// The 64 compiled kernels over accessor types ConstAcc / MutAcc, indexed
+/// by gemm::instantiation_index(config).
+template <typename ConstAcc = std::span<const float>,
+          typename MutAcc = std::span<float>>
+inline constexpr auto kTiledInstantiations =
+    detail::instantiation_table<ConstAcc, MutAcc>(
+        std::make_index_sequence<kInstantiationCount>{});
+
+/// The table entry that runs `config`; throws common::Error when its tile
+/// or accumulator size is not in {1,2,4,8}.
+template <typename ConstAcc = std::span<const float>,
+          typename MutAcc = std::span<float>>
+const TiledInstantiation<ConstAcc, MutAcc>& tiled_instantiation(
+    const KernelConfig& config) {
+  return kTiledInstantiations<ConstAcc, MutAcc>[instantiation_index(config)];
+}
 
 }  // namespace aks::gemm

@@ -26,7 +26,7 @@ struct Coords {
 constexpr std::array<int, 4> kCoordLimits = {4, 4, 4, 10};
 
 Coords to_coords(const gemm::KernelConfig& config) {
-  const auto& sizes = gemm::tile_sizes();
+  const auto& sizes = gemm::kTileSizes;
   auto tile_index = [&](int value) {
     return static_cast<int>(
         std::find(sizes.begin(), sizes.end(), value) - sizes.begin());
@@ -41,7 +41,7 @@ Coords to_coords(const gemm::KernelConfig& config) {
 }
 
 gemm::KernelConfig to_config(const Coords& coords) {
-  const auto& sizes = gemm::tile_sizes();
+  const auto& sizes = gemm::kTileSizes;
   const auto& shapes = gemm::work_group_shapes();
   gemm::KernelConfig config;
   config.row_tile = sizes[static_cast<std::size_t>(coords.v[0])];

@@ -322,6 +322,28 @@ TEST(Certify, DifferentialAgreesOnSampledConfigs) {
   EXPECT_TRUE(diff.clean());
 }
 
+TEST(Certify, DifferentialSamplesExactlyTheRequestedCount) {
+  // 10 certified configs and 3 samples: configs 0, 3 and 6. A stride of
+  // 10 / 3 = 3 would sample 4 (0, 3, 6, 9).
+  CertifyOptions options;
+  options.max_configs = 10;
+  const auto& configs = gemm::enumerate_configs();
+  const std::vector<perf::DeviceSpec> r9 = {perf::DeviceSpec::amd_r9_nano()};
+  auto report = certify_space(configs, r9, options);
+  const auto diff = differential_check(report, configs, 3);
+  EXPECT_EQ(diff.configs_sampled, 3u);
+  EXPECT_EQ(diff.replays, 3u * 6u);  // 5 corpus shapes + 1 batched each
+  EXPECT_TRUE(diff.clean());
+  // With no certificates every sampled config is a mismatch naming it.
+  report.certificates.clear();
+  std::vector<std::size_t> sampled;
+  for (const auto& mismatch :
+       differential_check(report, configs, 3).mismatches) {
+    sampled.push_back(mismatch.config_index);
+  }
+  EXPECT_EQ(sampled, (std::vector<std::size_t>{0, 3, 6}));
+}
+
 TEST(Verdict, NamesRoundTrip) {
   for (const Verdict v : {Verdict::safe, Verdict::unsafe, Verdict::unknown}) {
     EXPECT_EQ(parse_verdict(to_string(v)), v);

@@ -9,6 +9,7 @@
 #include "gemm/config.hpp"
 #include "gemm/reference.hpp"
 #include "gemm/registry.hpp"
+#include "gemm/tiled_kernel.hpp"
 #include "syclrt/queue.hpp"
 
 namespace aks::gemm {
@@ -69,16 +70,66 @@ TEST(Config, CompiledKernelCountIgnoresWorkGroups) {
   EXPECT_EQ(count_compiled_kernels(enumerate_configs()), 64u);
 }
 
-TEST(Registry, HasAll64Instantiations) {
+// Every instantiation writes the same bits, so an entry that launched the
+// wrong kernel would pass every output check. The entry under a config's
+// instantiation_index must be that config's own (row_tile, col_tile,
+// acc_size), and its launches must have that tile's geometry.
+TEST(Registry, EachEntryIsItsOwnInstantiation) {
   EXPECT_EQ(registry_size(), 64u);
-  for (int rt : tile_sizes())
-    for (int ct : tile_sizes())
-      for (int acc : tile_sizes()) EXPECT_NO_THROW((void)find_kernel(rt, ct, acc));
+  const GemmShape shape{37, 5, 29};  // ragged against every tile size
+  constexpr std::size_t kBatch = 3;
+  std::vector<float> a(kBatch * shape.m * shape.k);
+  std::vector<float> b(kBatch * shape.k * shape.n);
+  std::vector<float> c(kBatch * shape.m * shape.n);
+  const auto flat = [](std::vector<float>& v, std::size_t size) {
+    return std::span<float>(v).first(size);
+  };
+  const auto padded = [](std::size_t extent, int tile, int group) {
+    const std::size_t tiles = (extent + static_cast<std::size_t>(tile) - 1) /
+                              static_cast<std::size_t>(tile);
+    const auto g = static_cast<std::size_t>(group);
+    return (tiles + g - 1) / g * g;
+  };
+  syclrt::Queue queue;
+  std::set<std::size_t> indices;
+  for (int rt : kTileSizes)
+    for (int ct : kTileSizes)
+      for (int acc : kTileSizes) {
+        const KernelConfig config{rt, ct, acc, 8, 16};
+        const std::size_t index = instantiation_index(config);
+        indices.insert(index);
+        const auto& entry = kTiledInstantiations<>[index];
+        EXPECT_EQ(entry.row_tile, rt) << config.name();
+        EXPECT_EQ(entry.col_tile, ct) << config.name();
+        EXPECT_EQ(entry.acc_size, acc) << config.name();
+        // One work-item per rt x ct output tile, padded to 8 x 16 groups.
+        const std::size_t items =
+            padded(shape.m, rt, 8) * padded(shape.n, ct, 16);
+        EXPECT_EQ(launch_gemm(queue, config, flat(a, shape.m * shape.k),
+                              flat(b, shape.k * shape.n),
+                              flat(c, shape.m * shape.n), shape)
+                      .item_count,
+                  items)
+            << config.name();
+        EXPECT_EQ(launch_batched_gemm(queue, config, a, b, c, shape, kBatch)
+                      .item_count,
+                  kBatch * items)
+            << config.name();
+      }
+  EXPECT_EQ(indices.size(), kInstantiationCount);
 }
 
 TEST(Registry, UnknownInstantiationThrows) {
-  EXPECT_THROW((void)find_kernel(3, 4, 4), common::Error);
-  EXPECT_THROW((void)find_kernel(4, 4, 16), common::Error);
+  syclrt::Queue queue;
+  const GemmShape shape{4, 4, 4};
+  std::vector<float> a(16), b(16), c(16);
+  for (const KernelConfig& config :
+       {KernelConfig{3, 4, 4, 8, 8}, KernelConfig{4, 4, 16, 8, 8}}) {
+    EXPECT_THROW((void)instantiation_index(config), common::Error);
+    EXPECT_THROW(launch_gemm(queue, config, a, b, c, shape), common::Error);
+    EXPECT_THROW(launch_batched_gemm(queue, config, a, b, c, shape, 1),
+                 common::Error);
+  }
 }
 
 TEST(Shape, FlopsAndBytes) {
@@ -148,9 +199,9 @@ TEST_P(TiledKernelCorrectness, MatchesReferenceOnAwkwardShape) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllInstantiations, TiledKernelCorrectness,
-    ::testing::Combine(::testing::ValuesIn(tile_sizes()),
-                       ::testing::ValuesIn(tile_sizes()),
-                       ::testing::ValuesIn(tile_sizes())),
+    ::testing::Combine(::testing::ValuesIn(kTileSizes),
+                       ::testing::ValuesIn(kTileSizes),
+                       ::testing::ValuesIn(kTileSizes)),
     [](const auto& param_info) {
       return "t" + std::to_string(std::get<0>(param_info.param)) + "x" +
              std::to_string(std::get<1>(param_info.param)) + "_a" +
@@ -262,9 +313,9 @@ TEST(GemmBitIdentity, EveryConfigMatchesReferenceBits) {
       ASSERT_TRUE(same_bits(config, 1));
     }
     std::size_t wg = 0;
-    for (int rt : tile_sizes())
-      for (int ct : tile_sizes())
-        for (int acc : tile_sizes()) {
+    for (int rt : kTileSizes)
+      for (int ct : kTileSizes)
+        for (int acc : kTileSizes) {
           const auto [wg_r, wg_c] =
               work_group_shapes()[wg++ % work_group_shapes().size()];
           ASSERT_TRUE(same_bits(KernelConfig{rt, ct, acc, wg_r, wg_c}, kBatch));
