@@ -62,7 +62,7 @@ int run() {
        ++i) {
     const auto& layer = detail.layers[i];
     bench::print_row(
-        {layer.layer, data::to_string(layer.transform), layer.chosen.name(),
+        {layer.layer, conv::to_string(layer.transform), layer.chosen.name(),
          common::format_fixed(layer.engine_seconds * 1e6, 1),
          common::format_fixed(layer.optimal_seconds * 1e6, 1)},
         16);

@@ -86,7 +86,7 @@ int main() {
 
     std::cout << common::pad_right(name, 16)
               << common::pad_right(plan.gemm_shape.to_string(), 16)
-              << common::pad_right(data::to_string(plan.transform), 10)
+              << common::pad_right(conv::to_string(plan.transform), 10)
               << common::pad_right(plan.config.name(), 18) << max_error
               << "\n";
   }

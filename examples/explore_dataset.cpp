@@ -25,7 +25,7 @@ int main() {
     std::map<std::string, std::size_t> by_transform;
     gemm::GemmShape largest{0, 0, 0};
     for (const auto& item : entry.shapes) {
-      ++by_transform[data::to_string(item.transform)];
+      ++by_transform[conv::to_string(item.transform)];
       if (item.shape.flops() > largest.flops()) largest = item.shape;
     }
     std::cout << common::pad_right(entry.network, 14) << entry.shapes.size()

@@ -51,7 +51,7 @@ int main() {
     const auto config = result.selector->select_config(item.shape);
     std::cout << common::pad_right(item.layer, 22)
               << common::pad_right(item.shape.to_string(), 20)
-              << common::pad_right(data::to_string(item.transform), 10)
+              << common::pad_right(conv::to_string(item.transform), 10)
               << config.name() << "\n";
   }
 

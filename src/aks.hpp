@@ -17,9 +17,8 @@
 #include "gemm/config.hpp"       // IWYU pragma: export
 #include "gemm/reference.hpp"    // IWYU pragma: export
 #include "gemm/registry.hpp"     // IWYU pragma: export
+#include "conv/conv2d.hpp"       // IWYU pragma: export
 #include "conv/direct.hpp"       // IWYU pragma: export
-#include "conv/im2col.hpp"       // IWYU pragma: export
-#include "conv/winograd.hpp"     // IWYU pragma: export
 #include "perfmodel/cost_model.hpp"   // IWYU pragma: export
 #include "perfmodel/device_spec.hpp"  // IWYU pragma: export
 #include "dataset/benchmark_runner.hpp"  // IWYU pragma: export
@@ -36,7 +35,6 @@
 #include "ml/kmeans.hpp"             // IWYU pragma: export
 #include "ml/knn.hpp"                // IWYU pragma: export
 #include "ml/metrics.hpp"            // IWYU pragma: export
-#include "ml/model_selection.hpp"    // IWYU pragma: export
 #include "ml/pca.hpp"                // IWYU pragma: export
 #include "ml/random_forest.hpp"      // IWYU pragma: export
 #include "ml/scaler.hpp"             // IWYU pragma: export

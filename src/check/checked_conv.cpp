@@ -6,8 +6,6 @@
 #include <sstream>
 
 #include "common/rng.hpp"
-#include "conv/im2col.hpp"
-#include "conv/winograd.hpp"
 
 namespace aks::check {
 
@@ -22,47 +20,32 @@ void fill_uniform(std::span<float> out, common::Rng& rng) {
   for (auto& v : out) v = static_cast<float>(rng.uniform(-1.0, 1.0));
 }
 
-/// Recording flat-GEMM launcher for the im2col hook: copies operands into
-/// checked buffers, replays the kernel, copies the result back out.
-conv::GemmLaunchFn checked_gemm_launch(AccessMonitor& monitor) {
-  return [&monitor](syclrt::Queue& queue, const gemm::KernelConfig& config,
-                    std::span<const float> a, std::span<const float> b,
-                    std::span<float> c, const gemm::GemmShape& shape) {
-    CheckedBuffer<float> a_buf("A", a, monitor);
-    CheckedBuffer<float> b_buf("B", b, monitor);
-    CheckedBuffer<float> c_buf("C", c.size(), monitor);
-    const auto event = launch_checked_gemm(queue, config, a_buf.read(),
-                                           b_buf.read(), c_buf.write(), shape);
-    const auto result = c_buf.host();
-    std::copy(result.begin(), result.end(), c.begin());
-    return event;
-  };
-}
-
-/// Recording batched launcher for the Winograd hooks.
-conv::BatchedGemmLaunchFn checked_batched_launch(AccessMonitor& monitor) {
+/// A recording launcher for conv::conv2d: copies the operands into checked
+/// buffers, replays `Launch` (the flat or the batched checked GEMM, whose
+/// batch count arrives in `batch`) and copies the result back out.
+template <auto Launch>
+auto recording_launcher(AccessMonitor& monitor) {
   return [&monitor](syclrt::Queue& queue, const gemm::KernelConfig& config,
                     std::span<const float> a, std::span<const float> b,
                     std::span<float> c, const gemm::GemmShape& shape,
-                    std::size_t batch) {
+                    auto... batch) {
     CheckedBuffer<float> a_buf("A", a, monitor);
     CheckedBuffer<float> b_buf("B", b, monitor);
     CheckedBuffer<float> c_buf("C", c.size(), monitor);
-    const auto event = launch_checked_batched_gemm(
-        queue, config, a_buf.read(), b_buf.read(), c_buf.write(), shape,
-        batch);
+    const auto event = Launch(queue, config, a_buf.read(), b_buf.read(),
+                              c_buf.write(), shape, batch...);
     const auto result = c_buf.host();
     std::copy(result.begin(), result.end(), c.begin());
     return event;
   };
 }
 
-template <typename RunLowering>
-CheckResult check_conv(const std::string& label,
+}  // namespace
+
+CheckResult check_conv(conv::Transform transform,
                        const gemm::KernelConfig& config,
-                       const conv::ConvShape& shape,
-                       const RunLowering& run_lowering) {
-  AccessMonitor monitor(label);
+                       const conv::ConvShape& shape) {
+  AccessMonitor monitor(conv::to_string(transform) + "+" + config.name());
 
   const std::uint64_t seed =
       std::uint64_t{0xC0DEC0DE} ^
@@ -81,7 +64,9 @@ CheckResult check_conv(const std::string& label,
   std::vector<float> actual(shape.output_size(), 0.0f);
   syclrt::Queue queue;
   queue.set_deterministic_replay(true);
-  run_lowering(queue, monitor, input, filter, actual);
+  conv::conv2d(queue, transform, config, input, filter, actual, shape,
+               {recording_launcher<launch_checked_gemm>(monitor),
+                recording_launcher<launch_checked_batched_gemm>(monitor)});
 
   CheckResult result;
   std::size_t worst_index = 0;
@@ -110,47 +95,6 @@ CheckResult check_conv(const std::string& label,
   result.findings = monitor.findings();
   result.dropped_findings = monitor.dropped();
   return result;
-}
-
-}  // namespace
-
-CheckResult check_im2col_conv(const gemm::KernelConfig& config,
-                              const conv::ConvShape& shape) {
-  return check_conv(
-      "im2col+" + config.name(), config, shape,
-      [&config, &shape](syclrt::Queue& queue, AccessMonitor& monitor,
-                        std::span<const float> input,
-                        std::span<const float> filter,
-                        std::span<float> output) {
-        conv::im2col_conv2d(queue, config, input, filter, output, shape,
-                            checked_gemm_launch(monitor));
-      });
-}
-
-CheckResult check_winograd_conv(const gemm::KernelConfig& config,
-                                const conv::ConvShape& shape) {
-  return check_conv(
-      "winograd+" + config.name(), config, shape,
-      [&config, &shape](syclrt::Queue& queue, AccessMonitor& monitor,
-                        std::span<const float> input,
-                        std::span<const float> filter,
-                        std::span<float> output) {
-        conv::winograd_conv2d(queue, config, input, filter, output, shape,
-                              checked_batched_launch(monitor));
-      });
-}
-
-CheckResult check_winograd4_conv(const gemm::KernelConfig& config,
-                                 const conv::ConvShape& shape) {
-  return check_conv(
-      "winograd4+" + config.name(), config, shape,
-      [&config, &shape](syclrt::Queue& queue, AccessMonitor& monitor,
-                        std::span<const float> input,
-                        std::span<const float> filter,
-                        std::span<float> output) {
-        conv::winograd4_conv2d(queue, config, input, filter, output, shape,
-                               checked_batched_launch(monitor));
-      });
 }
 
 std::vector<conv::ConvShape> default_conv_corpus() {
@@ -186,10 +130,8 @@ RegistryCheckSummary check_conv_lowerings(std::size_t config_stride) {
     const auto& config = configs[i];
     ++summary.configs_checked;
     for (const auto& shape : corpus) {
-      absorb(check_im2col_conv(config, shape));
-      if (conv::winograd_applicable(shape)) {
-        absorb(check_winograd_conv(config, shape));
-        absorb(check_winograd4_conv(config, shape));
+      for (const conv::Lowering& lowering : conv::lowerings(shape)) {
+        absorb(check_conv(lowering.transform, config, shape));
       }
     }
   }

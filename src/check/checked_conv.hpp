@@ -1,38 +1,33 @@
 // Checked execution of the convolution lowerings.
 //
-// The conv module lowers every convolution to the tiled GEMM family
-// (im2col: one multiply; Winograd F(2x2)/F(4x4): 16/36 batched multiplies).
-// These entry points run the *production* lowering code with the GEMM
-// launch swapped for a recording one (via the conv module's launcher
-// injection hooks), so the patch/transform bookkeeping and the kernels are
-// analysed together, and verify the result against direct_conv2d.
+// The conv module lowers every convolution to the tiled GEMM family through
+// one table (conv/conv2d.hpp: im2col, one multiply; Winograd F(2x2)/F(4x4),
+// 16/36 batched multiplies). check_conv runs the *production* lowering
+// through conv::conv2d with its GEMM launches swapped for recording ones
+// (conv::GemmLaunchers), so the patch/transform bookkeeping and the kernels
+// are analysed together, and verifies the result against direct_conv2d.
 #pragma once
 
 #include <vector>
 
 #include "check/checked_gemm.hpp"
-#include "conv/direct.hpp"
+#include "conv/conv2d.hpp"
 #include "gemm/config.hpp"
 
 namespace aks::check {
 
-/// im2col + checked tiled GEMM vs direct_conv2d.
-[[nodiscard]] CheckResult check_im2col_conv(const gemm::KernelConfig& config,
-                                            const conv::ConvShape& shape);
-
-/// Winograd F(2x2,3x3) with the checked batched GEMM vs direct_conv2d.
-[[nodiscard]] CheckResult check_winograd_conv(const gemm::KernelConfig& config,
-                                              const conv::ConvShape& shape);
-
-/// Winograd F(4x4,3x3) with the checked batched GEMM vs direct_conv2d.
-[[nodiscard]] CheckResult check_winograd4_conv(
-    const gemm::KernelConfig& config, const conv::ConvShape& shape);
+/// `transform` with the checked tiled GEMM `config` vs direct_conv2d; the
+/// findings are labelled "<transform>+<config>" (im2col+…, winograd+…,
+/// winograd4+…).
+[[nodiscard]] CheckResult check_conv(conv::Transform transform,
+                                     const gemm::KernelConfig& config,
+                                     const conv::ConvShape& shape);
 
 /// Conv shapes exercising padding, stride and ragged output tiles.
 [[nodiscard]] std::vector<conv::ConvShape> default_conv_corpus();
 
-/// Sweeps a spread of configurations across the conv corpus through all
-/// three lowerings (Winograd only where applicable).
+/// Sweeps a spread of configurations across the conv corpus through every
+/// lowering conv::lowerings lists for each shape.
 [[nodiscard]] RegistryCheckSummary check_conv_lowerings(
     std::size_t config_stride = 80);
 

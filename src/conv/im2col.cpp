@@ -5,9 +5,9 @@
 namespace aks::conv {
 
 namespace {
+
 /// Local widening cast for index arithmetic on validated dimensions.
 inline std::size_t zu(int v) { return static_cast<std::size_t>(v); }
-}  // namespace
 
 gemm::GemmShape im2col_gemm_shape(const ConvShape& shape) {
   gemm::GemmShape out;
@@ -16,6 +16,22 @@ gemm::GemmShape im2col_gemm_shape(const ConvShape& shape) {
   out.n = zu(shape.out_channels);
   return out;
 }
+
+void im2col_conv2d(syclrt::Queue& queue, const gemm::KernelConfig& config,
+                   std::span<const float> input, std::span<const float> filter,
+                   std::span<float> output, const ConvShape& shape,
+                   const GemmLaunchers& launchers) {
+  // The HWIO filter flattens directly to [kh*kw*in_c, out_c]; the NHWC
+  // output flattens directly to [batch*oh*ow, out_c].
+  launchers.flat(queue, config, im2col_transform(input, shape), filter,
+                 output, im2col_gemm_shape(shape));
+}
+
+}  // namespace
+
+const detail::LoweringRow detail::kIm2colRow = {
+    Transform::kIm2col, 1, [](const ConvShape&) { return true; },
+    im2col_gemm_shape, im2col_conv2d};
 
 std::vector<float> im2col_transform(std::span<const float> input,
                                     const ConvShape& shape) {
@@ -52,19 +68,6 @@ std::vector<float> im2col_transform(std::span<const float> input,
     }
   }
   return patches;
-}
-
-void im2col_conv2d(syclrt::Queue& queue, const gemm::KernelConfig& config,
-                   std::span<const float> input, std::span<const float> filter,
-                   std::span<float> output, const ConvShape& shape,
-                   const GemmLaunchFn& launch) {
-  AKS_CHECK(filter.size() == shape.filter_size(), "filter size mismatch");
-  AKS_CHECK(output.size() == shape.output_size(), "output size mismatch");
-  const auto patches = im2col_transform(input, shape);
-  const auto gemm_shape = im2col_gemm_shape(shape);
-  // The HWIO filter flattens directly to [kh*kw*in_c, out_c]; the NHWC
-  // output flattens directly to [batch*oh*ow, out_c].
-  launch(queue, config, patches, filter, output, gemm_shape);
 }
 
 }  // namespace aks::conv

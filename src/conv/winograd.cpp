@@ -35,8 +35,6 @@
 #include <algorithm>
 #include <memory>
 
-#include "common/error.hpp"
-
 namespace aks::conv {
 
 namespace {
@@ -52,7 +50,6 @@ constexpr std::size_t kGroupChannels = 64;
 struct F2 {
   static constexpr int kOut = 2;
   static constexpr int kIn = 4;
-  static constexpr const char* kName = "Winograd F(2x2,3x3)";
 
   /// U = G g G^T for one 3x3 filter.
   static void filter(const float (&g)[3][3], float (&u)[4][4]) {
@@ -153,7 +150,6 @@ void matmul_small_rt(const float (&in)[R2][C], const double (&m)[R][C],
 struct F4 {
   static constexpr int kOut = 4;
   static constexpr int kIn = 6;
-  static constexpr const char* kName = "Winograd F(4x4,3x3)";
 
   static void filter(const float (&g)[3][3], float (&u)[6][6]) {
     float gg[6][3];
@@ -173,9 +169,6 @@ struct F4 {
     matmul_small_rt(am, kAT, y);
   }
 };
-
-static_assert(zu(F2::kIn * F2::kIn) == kWinogradF2Multiplies);
-static_assert(zu(F4::kIn * F4::kIn) == kWinogradF4Multiplies);
 
 /// Output tiles of variant F along an output extent.
 template <typename F>
@@ -200,18 +193,12 @@ syclrt::NdRange<2> transform_range(std::size_t rows, std::size_t channels) {
           syclrt::Range<2>(1, std::min(channels, kGroupChannels))};
 }
 
+/// Runs F's lowering; conv2d has checked the shape and the sizes.
 template <typename F>
 void winograd_lowering(syclrt::Queue& queue, const gemm::KernelConfig& config,
                        std::span<const float> input,
                        std::span<const float> filter, std::span<float> output,
-                       const ConvShape& shape,
-                       const BatchedGemmLaunchFn& launch) {
-  AKS_CHECK(winograd_applicable(shape),
-            F::kName << " requires a 3x3 stride-1 convolution");
-  AKS_CHECK(input.size() == shape.input_size(), "input size mismatch");
-  AKS_CHECK(filter.size() == shape.filter_size(), "filter size mismatch");
-  AKS_CHECK(output.size() == shape.output_size(), "output size mismatch");
-
+                       const ConvShape& shape, const GemmLaunchers& launchers) {
   constexpr std::size_t T = zu(F::kIn);
   constexpr std::size_t kPositions = T * T;
   const auto mm = tile_gemm_shape<F>(shape);
@@ -285,9 +272,9 @@ void winograd_lowering(syclrt::Queue& queue, const gemm::KernelConfig& config,
         }
       });
 
-  launch(queue, config, {v.get(), kPositions * v_plane},
-         {u.get(), kPositions * u_plane}, {m.get(), kPositions * m_plane}, mm,
-         kPositions);
+  launchers.batched(queue, config, {v.get(), kPositions * v_plane},
+                    {u.get(), kPositions * u_plane},
+                    {m.get(), kPositions * m_plane}, mm, kPositions);
 
   queue.parallel_for(
       transform_range(tiles, out_c), [&](const syclrt::NdItem<2>& item) {
@@ -311,34 +298,19 @@ void winograd_lowering(syclrt::Queue& queue, const gemm::KernelConfig& config,
       });
 }
 
-}  // namespace
-
-bool winograd_applicable(const ConvShape& shape) {
+/// Winograd F(m x m, 3x3) needs a 3x3 stride-1 convolution.
+bool winograd_applies(const ConvShape& shape) {
   return shape.kernel == 3 && shape.stride == 1;
 }
 
-gemm::GemmShape winograd_gemm_shape(const ConvShape& shape) {
-  return tile_gemm_shape<F2>(shape);
-}
+}  // namespace
 
-gemm::GemmShape winograd4_gemm_shape(const ConvShape& shape) {
-  return tile_gemm_shape<F4>(shape);
-}
-
-void winograd_conv2d(syclrt::Queue& queue, const gemm::KernelConfig& config,
-                     std::span<const float> input,
-                     std::span<const float> filter, std::span<float> output,
-                     const ConvShape& shape,
-                     const BatchedGemmLaunchFn& launch) {
-  winograd_lowering<F2>(queue, config, input, filter, output, shape, launch);
-}
-
-void winograd4_conv2d(syclrt::Queue& queue, const gemm::KernelConfig& config,
-                      std::span<const float> input,
-                      std::span<const float> filter, std::span<float> output,
-                      const ConvShape& shape,
-                      const BatchedGemmLaunchFn& launch) {
-  winograd_lowering<F4>(queue, config, input, filter, output, shape, launch);
-}
+// One multiply per position of the kIn x kIn element product: 16 and 36.
+const detail::LoweringRow detail::kWinogradF2Row = {
+    Transform::kWinograd, zu(F2::kIn * F2::kIn), winograd_applies,
+    tile_gemm_shape<F2>, winograd_lowering<F2>};
+const detail::LoweringRow detail::kWinogradF4Row = {
+    Transform::kWinograd4, zu(F4::kIn * F4::kIn), winograd_applies,
+    tile_gemm_shape<F4>, winograd_lowering<F4>};
 
 }  // namespace aks::conv

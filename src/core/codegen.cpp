@@ -10,12 +10,15 @@ namespace aks::select {
 namespace {
 
 const char* kFeatureNames[3] = {"m", "k", "n"};
+constexpr const char* kFunctionName = "select_gemm_kernel";
+constexpr const char* kNamespaceName = "aks_generated";
+/// Indentation width in spaces.
+constexpr std::size_t kIndent = 2;
 
 void emit_node(const std::vector<ml::TreeNode>& nodes,
                const std::vector<std::size_t>& allowed, std::size_t node,
-               int depth, const CodegenOptions& options, std::ostream& os) {
-  const std::string pad(static_cast<std::size_t>((depth + 1) * options.indent),
-                        ' ');
+               std::size_t depth, std::ostream& os) {
+  const std::string pad((depth + 1) * kIndent, ' ');
   const auto& n = nodes[node];
   if (n.is_leaf()) {
     std::size_t best = 0;
@@ -32,18 +35,15 @@ void emit_node(const std::vector<ml::TreeNode>& nodes,
             "tree split on unexpected feature " << n.feature);
   os << pad << "if (" << kFeatureNames[n.feature] << " <= "
      << common::format_fixed(n.threshold, 6) << ") {\n";
-  emit_node(nodes, allowed, static_cast<std::size_t>(n.left), depth + 1,
-            options, os);
+  emit_node(nodes, allowed, static_cast<std::size_t>(n.left), depth + 1, os);
   os << pad << "} else {\n";
-  emit_node(nodes, allowed, static_cast<std::size_t>(n.right), depth + 1,
-            options, os);
+  emit_node(nodes, allowed, static_cast<std::size_t>(n.right), depth + 1, os);
   os << pad << "}\n";
 }
 
 }  // namespace
 
-std::string generate_selector_code(const DecisionTreeSelector& selector,
-                                   const CodegenOptions& options) {
+std::string generate_selector_code(const DecisionTreeSelector& selector) {
   AKS_CHECK(!selector.allowed().empty(), "selector is not fitted");
   AKS_CHECK(!selector.scales_features() &&
                 selector.feature_map() == FeatureMap::kRaw,
@@ -55,9 +55,7 @@ std::string generate_selector_code(const DecisionTreeSelector& selector,
   os << "// Generated by aks::select::generate_selector_code. Do not edit.\n";
   os << "// Selects among " << selector.allowed().size()
      << " shipped GEMM kernel configurations.\n\n";
-  if (!options.namespace_name.empty()) {
-    os << "namespace " << options.namespace_name << " {\n\n";
-  }
+  os << "namespace " << kNamespaceName << " {\n\n";
   os << "struct KernelChoice {\n"
      << "  int row_tile;\n"
      << "  int col_tile;\n"
@@ -65,14 +63,12 @@ std::string generate_selector_code(const DecisionTreeSelector& selector,
      << "  int wg_rows;\n"
      << "  int wg_cols;\n"
      << "};\n\n";
-  os << "inline KernelChoice " << options.function_name
+  os << "inline KernelChoice " << kFunctionName
      << "(double m, double k, double n) {\n";
   os << "  (void)m; (void)k; (void)n;\n";
-  emit_node(nodes, selector.allowed(), 0, 0, options, os);
+  emit_node(nodes, selector.allowed(), 0, 0, os);
   os << "}\n";
-  if (!options.namespace_name.empty()) {
-    os << "\n}  // namespace " << options.namespace_name << "\n";
-  }
+  os << "\n}  // namespace " << kNamespaceName << "\n";
   return os.str();
 }
 

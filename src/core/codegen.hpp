@@ -13,21 +13,15 @@
 
 namespace aks::select {
 
-struct CodegenOptions {
-  /// Name of the emitted function.
-  std::string function_name = "select_gemm_kernel";
-  /// Emitted namespace; empty for none.
-  std::string namespace_name = "aks_generated";
-  /// Indentation width in spaces.
-  int indent = 2;
-};
-
 /// Emits a C++ translation unit containing
-///   KernelChoice <function_name>(double m, double k, double n);
-/// where KernelChoice carries the five configuration parameters. The
-/// emitted control flow replicates `selector.tree()` exactly.
+///   namespace aks_generated {
+///   KernelChoice select_gemm_kernel(double m, double k, double n);
+///   }
+/// where KernelChoice carries the five configuration parameters, indented
+/// by two spaces per level. The emitted control flow replicates
+/// `selector.tree()` exactly.
 [[nodiscard]] std::string generate_selector_code(
-    const DecisionTreeSelector& selector, const CodegenOptions& options = {});
+    const DecisionTreeSelector& selector);
 
 /// Interprets the same nested-if logic the generated code would execute —
 /// used to property-test that codegen preserves tree semantics without

@@ -3,24 +3,8 @@
 #include <optional>
 
 #include "common/error.hpp"
-#include "conv/im2col.hpp"
-#include "conv/winograd.hpp"
 
 namespace aks::select {
-
-std::vector<ConvLowering> conv_lowerings(const conv::ConvShape& shape) {
-  std::vector<ConvLowering> out = {
-      {data::Transform::kIm2col, conv::im2col_gemm_shape(shape), 1}};
-  if (conv::winograd_applicable(shape)) {
-    out.push_back({data::Transform::kWinograd,
-                   conv::winograd_gemm_shape(shape),
-                   conv::kWinogradF2Multiplies});
-    out.push_back({data::Transform::kWinograd4,
-                   conv::winograd4_gemm_shape(shape),
-                   conv::kWinogradF4Multiplies});
-  }
-  return out;
-}
 
 ConvEngine::ConvEngine(std::shared_ptr<const KernelSelector> selector,
                        perf::CostModel cost_model)
@@ -31,7 +15,7 @@ ConvEngine::ConvEngine(std::shared_ptr<const KernelSelector> selector,
 
 ConvEngine::Plan ConvEngine::plan(const conv::ConvShape& shape) const {
   std::optional<Plan> best;
-  for (const ConvLowering& lowering : conv_lowerings(shape)) {
+  for (const conv::Lowering& lowering : conv::lowerings(shape)) {
     Plan candidate;
     candidate.transform = lowering.transform;
     candidate.gemm_shape = lowering.gemm_shape;
@@ -51,19 +35,8 @@ ConvEngine::Plan ConvEngine::run(syclrt::Queue& queue,
                                  std::span<float> output,
                                  const conv::ConvShape& shape) const {
   const Plan chosen = plan(shape);
-  switch (chosen.transform) {
-    case data::Transform::kWinograd:
-      conv::winograd_conv2d(queue, chosen.config, input, filter, output,
-                            shape);
-      break;
-    case data::Transform::kWinograd4:
-      conv::winograd4_conv2d(queue, chosen.config, input, filter, output,
-                             shape);
-      break;
-    default:
-      conv::im2col_conv2d(queue, chosen.config, input, filter, output, shape);
-      break;
-  }
+  conv::conv2d(queue, chosen.transform, chosen.config, input, filter, output,
+               shape);
   return chosen;
 }
 

@@ -1,39 +1,24 @@
 // Convolution engine: the deployed library surface the paper's pipeline
 // feeds into.
 //
-// For each convolution the engine (a) decides between the im2col and
-// Winograd lowerings using the device cost model over their GEMM shapes,
-// (b) asks the trained KernelSelector for the kernel configuration of the
-// chosen GEMM, and (c) executes the convolution on the host runtime. This
-// is the integration point of every layer of the repo: dataset-trained
-// selector + perfmodel + conv transforms + tiled kernels + SYCL-like
-// runtime.
+// For each convolution the engine (a) asks the trained KernelSelector for
+// the kernel configuration of every lowering in the conv module's table
+// (conv::lowerings: im2col, and Winograd F(2x2)/F(4x4) for 3x3 stride-1
+// layers), (b) keeps the lowering the device cost model times fastest, and
+// (c) runs it on the host runtime through conv::conv2d. This is the
+// integration point of every layer of the repo: dataset-trained selector +
+// perfmodel + conv transforms + tiled kernels + SYCL-like runtime.
 #pragma once
 
 #include <memory>
 #include <span>
-#include <vector>
 
-#include "conv/direct.hpp"
+#include "conv/conv2d.hpp"
 #include "core/selector.hpp"
-#include "dataset/lowering.hpp"
 #include "perfmodel/cost_model.hpp"
 #include "syclrt/queue.hpp"
 
 namespace aks::select {
-
-/// One way to run a convolution as GEMM: the lowering, the shape of its
-/// GEMM, and how many multiplies of that shape its one launch runs.
-struct ConvLowering {
-  data::Transform transform = data::Transform::kIm2col;
-  gemm::GemmShape gemm_shape;
-  std::size_t multiplies = 1;
-};
-
-/// The lowerings that apply to `shape`, im2col first, then Winograd
-/// F(2x2, 3x3) and F(4x4, 3x3) when the convolution is dense 3x3 stride 1.
-[[nodiscard]] std::vector<ConvLowering> conv_lowerings(
-    const conv::ConvShape& shape);
 
 class ConvEngine {
  public:
@@ -44,7 +29,7 @@ class ConvEngine {
 
   /// The lowering and kernel configuration the engine would use.
   struct Plan {
-    data::Transform transform = data::Transform::kIm2col;
+    conv::Transform transform = conv::Transform::kIm2col;
     gemm::KernelConfig config;
     gemm::GemmShape gemm_shape;
     /// Modelled execution time of the GEMM work (seconds).

@@ -9,22 +9,9 @@ namespace aks::select {
 
 namespace {
 
-conv::ConvShape conv_shape(const data::ConvLayer& conv, int batch) {
-  conv::ConvShape shape;
-  shape.batch = batch;
-  shape.in_height = conv.in_height;
-  shape.in_width = conv.in_width;
-  shape.in_channels = conv.in_channels;
-  shape.out_channels = conv.out_channels;
-  shape.kernel = conv.kernel;
-  shape.stride = conv.stride;
-  shape.padding = conv.padding;
-  return shape;
-}
-
 /// Best modelled time for one lowering over all 640 configurations.
 double optimal_time(const perf::CostModel& model,
-                    const ConvLowering& lowering) {
+                    const conv::Lowering& lowering) {
   double best = std::numeric_limits<double>::infinity();
   for (const auto& config : gemm::enumerate_configs()) {
     best = std::min(best, model.predict_batched_seconds(
@@ -45,7 +32,7 @@ NetworkEstimate estimate_network(const ConvEngine& engine,
   estimate.network = network.name;
 
   auto add_layer = [&](const std::string& name,
-                       const std::vector<ConvLowering>& lowerings,
+                       const std::vector<conv::Lowering>& lowerings,
                        const ConvEngine::Plan& plan) {
     LayerEstimate layer;
     layer.layer = name;
@@ -71,19 +58,19 @@ NetworkEstimate estimate_network(const ConvEngine& engine,
     estimate.layers.push_back(std::move(layer));
   };
 
-  for (const auto& conv : network.convs) {
-    if (conv.groups != 1) continue;  // depthwise: no dense GEMM lowering
-    const conv::ConvShape shape = conv_shape(conv, batch);
-    add_layer(conv.name, conv_lowerings(shape), engine.plan(shape));
+  for (const auto& layer : network.convs) {
+    if (layer.groups != 1) continue;  // depthwise: no dense GEMM lowering
+    const conv::ConvShape shape = layer.shape(batch);
+    add_layer(layer.name, conv::lowerings(shape), engine.plan(shape));
   }
 
   for (const auto& fc : network.fcs) {
-    const ConvLowering lowering{data::Transform::kFullyConnected,
-                                data::fc_shape(fc, batch), 1};
+    const conv::Lowering lowering{conv::Transform::kFullyConnected,
+                                  data::fc_shape(fc, batch), 1};
     // FC layers have exactly one lowering; plan it directly through the
     // selector (the engine API is convolution-shaped).
     ConvEngine::Plan plan;
-    plan.transform = data::Transform::kFullyConnected;
+    plan.transform = conv::Transform::kFullyConnected;
     plan.gemm_shape = lowering.gemm_shape;
     plan.config = engine.selector().select_config(lowering.gemm_shape);
     plan.modelled_seconds =

@@ -22,7 +22,7 @@ namespace aks::select {
 struct LayerEstimate {
   std::string layer;
   gemm::GemmShape gemm_shape;       // of the engine's chosen lowering
-  data::Transform transform = data::Transform::kIm2col;
+  conv::Transform transform = conv::Transform::kIm2col;
   gemm::KernelConfig chosen;
   double engine_seconds = 0.0;      // deployed plan
   double fixed_seconds = 0.0;       // single fixed kernel, best lowering

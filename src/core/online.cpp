@@ -21,15 +21,12 @@ std::uint64_t trial_key(const gemm::GemmShape& shape, std::size_t candidate,
 
 }  // namespace
 
-OnlineTuner::OnlineTuner(std::vector<std::size_t> candidates, TimerFn timer,
-                         TunerOptions options)
+OnlineTuner::OnlineTuner(std::vector<std::size_t> candidates, TimerFn timer)
     : candidates_(std::move(candidates)),
       timer_(std::move(timer)),
-      options_(options),
       health_(candidates_.size()) {
   AKS_CHECK(!candidates_.empty(), "online tuner needs candidates");
   AKS_CHECK(timer_ != nullptr, "online tuner needs a timer function");
-  AKS_CHECK(options_.trial_attempts > 0, "trial_attempts must be positive");
   const auto num_configs = gemm::enumerate_configs().size();
   for (const std::size_t c : candidates_) {
     AKS_CHECK(c < num_configs, "candidate index " << c << " out of range");
@@ -71,7 +68,7 @@ gemm::KernelConfig OnlineTuner::sweep(const gemm::GemmShape& shape) {
       trial_span.arm("tuner.trial", {trace::arg("config", candidate)});
     }
     double candidate_best = std::numeric_limits<double>::infinity();
-    for (int attempt = 0; attempt < options_.trial_attempts; ++attempt) {
+    for (int attempt = 0; attempt < kTrialAttempts; ++attempt) {
       // Arm both the warm-up-trial and kernel-launch sites: the timer may
       // route through syclrt::Queue (host mode) or be pure host timing.
       faults::FaultScope scope(
@@ -136,13 +133,13 @@ gemm::KernelConfig OnlineTuner::sweep(const gemm::GemmShape& shape) {
     sweep_span.annotate(trace::arg("outcome", "degraded"));
   }
 
-  if (options_.quarantine_threshold > 0) {
+  {
     aks::MutexLock lock(mutex_);
     for (std::size_t i = 1; i < candidates_.size(); ++i) {
       if (!eligible[i]) continue;
       auto& health = health_[i];
       if (failed[i]) {
-        if (++health.consecutive_failures >= options_.quarantine_threshold) {
+        if (++health.consecutive_failures >= kQuarantineThreshold) {
           health.quarantined = true;
           trace::instant("tuner.quarantine",
                          {trace::arg("config", candidates_[i])});

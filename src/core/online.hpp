@@ -16,8 +16,8 @@
 // Degradation contract (see DESIGN.md "Fault model"): a trial that throws
 // (launch failure, hang killed at the deadline) or returns a non-finite /
 // non-positive time is *not* an error of sweep(). The trial is retried up
-// to TunerOptions::trial_attempts; a candidate whose sweeps keep failing is
-// quarantined after quarantine_threshold consecutive sweep-level failures
+// to kTrialAttempts times; a candidate whose sweeps keep failing is
+// quarantined after kQuarantineThreshold consecutive sweep-level failures
 // and skipped from then on (so a kernel that cannot launch stops burning
 // warm-up budget and can never win); and when every candidate of a sweep
 // fails, sweep() returns the guaranteed fallback configuration — the first
@@ -46,14 +46,12 @@
 
 namespace aks::select {
 
-struct TunerOptions {
-  /// Consecutive failed sweeps (no valid trial for the candidate in a
-  /// sweep) before a candidate is quarantined. 0 disables quarantine.
-  std::size_t quarantine_threshold = 3;
-  /// Trial attempts per candidate per sweep before the candidate counts as
-  /// failed for that sweep.
-  int trial_attempts = 2;
-};
+/// Consecutive failed sweeps (no valid trial for the candidate in a sweep)
+/// before a candidate is quarantined.
+inline constexpr std::size_t kQuarantineThreshold = 3;
+/// Trial attempts per candidate per sweep before the candidate counts as
+/// failed for that sweep.
+inline constexpr int kTrialAttempts = 2;
 
 class OnlineTuner {
  public:
@@ -63,11 +61,10 @@ class OnlineTuner {
       std::function<double(const gemm::KernelConfig&, const gemm::GemmShape&)>;
 
   /// `candidates` are canonical configuration indices; `timer` is invoked
-  /// up to trial_attempts times per eligible candidate on every sweep.
+  /// up to kTrialAttempts times per eligible candidate on every sweep.
   /// The first candidate doubles as the guaranteed fallback: it is never
   /// quarantined and is served when a whole sweep fails.
-  OnlineTuner(std::vector<std::size_t> candidates, TimerFn timer,
-              TunerOptions options = {});
+  OnlineTuner(std::vector<std::size_t> candidates, TimerFn timer);
 
   /// Times every eligible candidate on `shape` and returns the fastest.
   /// Every call runs the full sweep; caching is SelectionService's job.
@@ -114,7 +111,6 @@ class OnlineTuner {
 
   std::vector<std::size_t> candidates_;
   TimerFn timer_;
-  TunerOptions options_;
   mutable aks::Mutex mutex_{"tuner.state"};
   /// Health per candidate (by position in candidates_).
   std::vector<CandidateHealth> health_ AKS_GUARDED_BY(mutex_);

@@ -4,43 +4,6 @@
 
 namespace aks::data {
 
-std::string to_string(Transform t) {
-  switch (t) {
-    case Transform::kIm2col: return "im2col";
-    case Transform::kWinograd: return "winograd";
-    case Transform::kFullyConnected: return "fc";
-    case Transform::kWinograd4: return "winograd4";
-  }
-  return "?";
-}
-
-std::optional<gemm::GemmShape> im2col_shape(const ConvLayer& conv, int batch) {
-  AKS_CHECK(batch > 0, "batch must be positive");
-  if (conv.groups != 1) return std::nullopt;
-  gemm::GemmShape shape;
-  shape.m = static_cast<std::size_t>(batch) *
-            static_cast<std::size_t>(conv.out_height()) *
-            static_cast<std::size_t>(conv.out_width());
-  shape.k = static_cast<std::size_t>(conv.in_channels) *
-            static_cast<std::size_t>(conv.kernel) *
-            static_cast<std::size_t>(conv.kernel);
-  shape.n = static_cast<std::size_t>(conv.out_channels);
-  return shape;
-}
-
-std::optional<gemm::GemmShape> winograd_shape(const ConvLayer& conv,
-                                              int batch) {
-  AKS_CHECK(batch > 0, "batch must be positive");
-  if (!conv.winograd_applicable()) return std::nullopt;
-  const auto tiles_h = static_cast<std::size_t>((conv.out_height() + 1) / 2);
-  const auto tiles_w = static_cast<std::size_t>((conv.out_width() + 1) / 2);
-  gemm::GemmShape shape;
-  shape.m = static_cast<std::size_t>(batch) * tiles_h * tiles_w;
-  shape.k = static_cast<std::size_t>(conv.in_channels);
-  shape.n = static_cast<std::size_t>(conv.out_channels);
-  return shape;
-}
-
 gemm::GemmShape fc_shape(const FcLayer& fc, int batch) {
   AKS_CHECK(batch > 0, "batch must be positive");
   gemm::GemmShape shape;
@@ -55,14 +18,12 @@ std::vector<LoweredGemm> lower_network(const Network& network,
   AKS_CHECK(!batch_sizes.empty(), "need at least one batch size");
   std::vector<LoweredGemm> out;
   for (int batch : batch_sizes) {
-    for (const auto& conv : network.convs) {
-      if (auto shape = im2col_shape(conv, batch)) {
-        out.push_back({*shape, Transform::kIm2col, conv.name, network.name,
-                       batch});
-      }
-      if (auto shape = winograd_shape(conv, batch)) {
-        out.push_back({*shape, Transform::kWinograd, conv.name, network.name,
-                       batch});
+    for (const auto& layer : network.convs) {
+      if (layer.groups != 1) continue;
+      for (const auto& lowering : conv::lowerings(layer.shape(batch))) {
+        if (lowering.transform == Transform::kWinograd4) continue;
+        out.push_back({lowering.gemm_shape, lowering.transform, layer.name,
+                       network.name, batch});
       }
     }
     for (const auto& fc : network.fcs) {

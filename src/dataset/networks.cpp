@@ -19,13 +19,25 @@ int add_conv(Network& net, const std::string& name, int in_c, int out_c,
   layer.in_height = spatial;
   layer.in_width = spatial;
   layer.groups = groups;
-  const int out = layer.out_height();
+  const int out = layer.shape(1).out_height();
   AKS_CHECK(out > 0, "conv " << name << " produces empty output");
   net.convs.push_back(std::move(layer));
   return out;
 }
 
 }  // namespace
+
+conv::ConvShape ConvLayer::shape(int batch) const {
+  AKS_CHECK(batch > 0, "batch must be positive");
+  return {.batch = batch,
+          .in_height = in_height,
+          .in_width = in_width,
+          .in_channels = in_channels,
+          .out_channels = out_channels,
+          .kernel = kernel,
+          .stride = stride,
+          .padding = padding};
+}
 
 Network vgg16() {
   Network net;
@@ -139,7 +151,7 @@ Network mobilenet_v2() {
       dw.in_height = spatial;
       dw.in_width = spatial;
       dw.groups = expanded;
-      const int dw_spatial = dw.out_height();
+      const int dw_spatial = dw.shape(1).out_height();
       net.convs.push_back(dw);
       add_conv(net, prefix + "_project", expanded, blk.c, 1, 1, 0, dw_spatial);
       spatial = dw_spatial;

@@ -11,6 +11,8 @@
 #include <string>
 #include <vector>
 
+#include "conv/direct.hpp"
+
 namespace aks::data {
 
 struct ConvLayer {
@@ -25,17 +27,9 @@ struct ConvLayer {
   /// groups == in_channels marks a depthwise convolution.
   int groups = 1;
 
-  [[nodiscard]] int out_height() const {
-    return (in_height + 2 * padding - kernel) / stride + 1;
-  }
-  [[nodiscard]] int out_width() const {
-    return (in_width + 2 * padding - kernel) / stride + 1;
-  }
   [[nodiscard]] bool is_depthwise() const { return groups == in_channels && groups > 1; }
-  /// Winograd F(2x2, 3x3) applies to dense 3x3 stride-1 convolutions.
-  [[nodiscard]] bool winograd_applicable() const {
-    return kernel == 3 && stride == 1 && groups == 1;
-  }
+  /// The layer run at `batch` (which must be positive), ignoring groups.
+  [[nodiscard]] conv::ConvShape shape(int batch) const;
 };
 
 struct FcLayer {

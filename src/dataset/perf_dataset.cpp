@@ -170,14 +170,8 @@ PerfDataset PerfDataset::load(const std::filesystem::path& path) {
     LoweredGemm item;
     item.network = row[0];
     item.layer = row[1];
-    if (row[2] == "winograd") {
-      item.transform = Transform::kWinograd;
-    } else if (row[2] == "fc") {
-      item.transform = Transform::kFullyConnected;
-    } else {
-      item.transform = Transform::kIm2col;
-    }
     const std::string where = "dataset row " + std::to_string(r + 1);
+    item.transform = conv::parse_transform(row[2], where);
     item.batch = common::parse_number<int>(row[3], where);
     item.shape.m = common::parse_number<std::size_t>(row[4], where);
     item.shape.k = common::parse_number<std::size_t>(row[5], where);

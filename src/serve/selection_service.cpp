@@ -18,9 +18,10 @@ namespace aks::serve {
 
 namespace {
 
-std::size_t round_up_pow2(std::size_t n) {
-  return std::bit_ceil(std::max<std::size_t>(1, n));
-}
+/// Cache shards; a power of two, so a shape's hash picks one by mask.
+constexpr std::size_t kShards = 16;
+constexpr std::size_t kShardMask = kShards - 1;
+static_assert(std::has_single_bit(kShards));
 
 // select() latency is *sampled* (1 request in 32 per thread): recording
 // every call would put three shared atomic RMWs on the cache-hit path and
@@ -34,7 +35,6 @@ thread_local std::uint32_t tl_latency_tick = 0;
 SelectionService::SelectionService(WarmUpFn warm_up, ServiceOptions options)
     : warm_up_(std::move(warm_up)),
       fallback_(options.fallback),
-      async_pool_(options.async_pool),
       hits_(metrics_.counter("serve.hits")),
       misses_(metrics_.counter("serve.misses")),
       coalesced_waits_(metrics_.counter("serve.coalesced_waits")),
@@ -55,12 +55,10 @@ SelectionService::SelectionService(WarmUpFn warm_up, ServiceOptions options)
       batch_amortized_latency_(
           metrics_.histogram("serve.batch_amortized_latency")) {
   AKS_CHECK(warm_up_ != nullptr, "selection service needs a warm-up function");
-  const std::size_t shards = round_up_pow2(options.num_shards);
-  shards_.reserve(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
+  shards_.reserve(kShards);
+  for (std::size_t s = 0; s < kShards; ++s) {
     shards_.push_back(std::make_unique<Shard>());
   }
-  shard_mask_ = shards - 1;
 }
 
 SelectionService::SelectionService(const select::KernelSelector& selector,
@@ -88,7 +86,7 @@ SelectionService::SelectionService(select::OnlineTuner& tuner,
 SelectionService::Shard& SelectionService::shard_for(
     const gemm::GemmShape& shape) {
   const std::size_t h = std::hash<gemm::GemmShape>{}(shape);
-  return *shards_[h & shard_mask_];
+  return *shards_[h & kShardMask];
 }
 
 gemm::KernelConfig SelectionService::select(const gemm::GemmShape& shape) {
@@ -97,7 +95,7 @@ gemm::KernelConfig SelectionService::select(const gemm::GemmShape& shape) {
     latency.emplace(select_latency_);
   }
   const std::size_t shard_index =
-      std::hash<gemm::GemmShape>{}(shape) & shard_mask_;
+      std::hash<gemm::GemmShape>{}(shape) & kShardMask;
   Shard& shard = *shards_[shard_index];
 
   trace::Span span;
@@ -221,18 +219,18 @@ std::vector<gemm::KernelConfig> SelectionService::select_batch(
   }
   std::stable_sort(order.begin(), order.end(),
                    [&](std::uint32_t a, std::uint32_t b) {
-                     return (uniq_hash[a] & shard_mask_) <
-                            (uniq_hash[b] & shard_mask_);
+                     return (uniq_hash[a] & kShardMask) <
+                            (uniq_hash[b] & kShardMask);
                    });
   std::size_t shard_groups = 0;
   std::uint64_t ready_fallbacks = 0;
   for (std::size_t g = 0; g < nu;) {
-    const std::size_t shard_index = uniq_hash[order[g]] & shard_mask_;
+    const std::size_t shard_index = uniq_hash[order[g]] & kShardMask;
     Shard& shard = *shards_[shard_index];
     ++shard_groups;
     std::uint64_t local_hits = 0;
     aks::MutexLock lock(shard.m);
-    for (; g < nu && (uniq_hash[order[g]] & shard_mask_) == shard_index; ++g) {
+    for (; g < nu && (uniq_hash[order[g]] & kShardMask) == shard_index; ++g) {
       const std::uint32_t u = order[g];
       auto& slot = shard.map[shapes[uniq_first[u]]];
       if (!slot) {
@@ -281,7 +279,7 @@ std::vector<gemm::KernelConfig> SelectionService::select_batch(
   std::vector<store::SelectionRecord> wave_records;
   for (const std::uint32_t u : wave) {
     const gemm::GemmShape& shape = shapes[uniq_first[u]];
-    Shard& shard = *shards_[uniq_hash[u] & shard_mask_];
+    Shard& shard = *shards_[uniq_hash[u] & kShardMask];
     ustate[u] = kDone;
     if (store_ != nullptr && try_transfer_prior(shape, uentry[u])) {
       uconfig[u] = uentry[u]->config;
@@ -349,7 +347,7 @@ std::vector<gemm::KernelConfig> SelectionService::select_batch(
       continue;
     }
     out[i] = uconfig[u];
-    shards_[uniq_hash[u] & shard_mask_]->hits.fetch_add(
+    shards_[uniq_hash[u] & kShardMask]->hits.fetch_add(
         1, std::memory_order_relaxed);
     ++deduped;
   }
@@ -363,7 +361,7 @@ std::future<gemm::KernelConfig> SelectionService::select_async(
     const gemm::GemmShape& shape) {
   auto promise = std::make_shared<std::promise<gemm::KernelConfig>>();
   std::future<gemm::KernelConfig> future = promise->get_future();
-  async_pool().post([this, shape, promise] {
+  common::ThreadPool::global().post([this, shape, promise] {
     try {
       promise->set_value(select(shape));
     } catch (...) {
@@ -378,7 +376,7 @@ SelectionService::select_batch_async(std::vector<gemm::GemmShape> shapes) {
   auto promise =
       std::make_shared<std::promise<std::vector<gemm::KernelConfig>>>();
   std::future<std::vector<gemm::KernelConfig>> future = promise->get_future();
-  async_pool().post([this, shapes = std::move(shapes), promise] {
+  common::ThreadPool::global().post([this, shapes = std::move(shapes), promise] {
     try {
       promise->set_value(select_batch(shapes));
     } catch (...) {
@@ -386,10 +384,6 @@ SelectionService::select_batch_async(std::vector<gemm::GemmShape> shapes) {
     }
   });
   return future;
-}
-
-common::ThreadPool& SelectionService::async_pool() const {
-  return async_pool_ != nullptr ? *async_pool_ : common::ThreadPool::global();
 }
 
 std::size_t SelectionService::warm_start(store::SelectionStore& store,

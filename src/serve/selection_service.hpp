@@ -71,10 +71,6 @@
 #include "perfmodel/device_spec.hpp"
 #include "store/record.hpp"
 
-namespace aks::common {
-class ThreadPool;
-}  // namespace aks::common
-
 namespace aks::select {
 class KernelSelector;
 class OnlineTuner;
@@ -87,8 +83,6 @@ class SelectionStore;
 namespace aks::serve {
 
 struct ServiceOptions {
-  /// Number of cache shards; rounded up to a power of two, minimum 1.
-  std::size_t num_shards = 16;
   /// Degradation contract (see DESIGN.md "Fault model"): when set, a
   /// warm-up that throws serves this configuration to the leader and every
   /// coalesced waiter instead of rethrowing — select() never throws. The
@@ -96,9 +90,6 @@ struct ServiceOptions {
   /// request for the shape retries the warm-up. When unset (the default),
   /// warm-up errors propagate to all callers as before.
   std::optional<gemm::KernelConfig> fallback;
-  /// Pool running select_async()/select_batch_async() work (must outlive
-  /// the service). Null means common::ThreadPool::global().
-  common::ThreadPool* async_pool = nullptr;
 };
 
 /// Snapshot of the service counters (each individually monotonic).
@@ -176,15 +167,15 @@ class SelectionService {
   [[nodiscard]] std::vector<gemm::KernelConfig> select_batch(
       std::span<const gemm::GemmShape> shapes);
 
-  /// select() on the async pool: returns immediately with a future that
-  /// yields the selection (or rethrows the warm-up error). Lets callers
-  /// overlap warm-up sweeps with graph construction. In-flight futures must
-  /// be waited out before the service is destroyed.
+  /// select() on common::ThreadPool::global(): returns immediately with a
+  /// future that yields the selection (or rethrows the warm-up error). Lets
+  /// callers overlap warm-up sweeps with graph construction. In-flight
+  /// futures must be waited out before the service is destroyed.
   [[nodiscard]] std::future<gemm::KernelConfig> select_async(
       const gemm::GemmShape& shape);
 
-  /// select_batch() on the async pool (one task for the whole batch, so the
-  /// wave coalescing is preserved).
+  /// select_batch() on common::ThreadPool::global() (one task for the whole
+  /// batch, so the wave coalescing is preserved).
   [[nodiscard]] std::future<std::vector<gemm::KernelConfig>>
   select_batch_async(std::vector<gemm::GemmShape> shapes);
 
@@ -216,7 +207,6 @@ class SelectionService {
   std::size_t refresh_provisional();
 
   [[nodiscard]] ServiceStats stats() const;
-  [[nodiscard]] std::size_t num_shards() const { return shards_.size(); }
 
   /// Live registry backing stats(); export with metrics().write_csv(out).
   /// (Reconciles the shard-striped hit counts into `serve.hits` first.)
@@ -280,14 +270,12 @@ class SelectionService {
   /// Write-behind: records a locally tuned decision in the attached store.
   void record_to_store(const gemm::GemmShape& shape,
                        const gemm::KernelConfig& config, double seconds);
-  [[nodiscard]] common::ThreadPool& async_pool() const;
   /// Folds the per-shard hit counts into the registry's serve.hits counter
   /// (serialized so concurrent observers never double-add a delta).
   void sync_hits() const;
 
   WarmUpFn warm_up_;
   std::optional<gemm::KernelConfig> fallback_;
-  common::ThreadPool* async_pool_ = nullptr;
   /// Set by the OnlineTuner constructor so store records carry the tuner's
   /// quarantine count.
   select::OnlineTuner* tuner_ = nullptr;
@@ -304,7 +292,6 @@ class SelectionService {
   /// fingerprint keys every record, and transfer lookups rank against it.
   store::DeviceProfileRecord device_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::size_t shard_mask_ = 0;
   mutable aks::Mutex sync_mutex_{"serve.hit_sync"};
   /// Stripe total already folded into hits_; guarded so the reconciliation
   /// delta never depends on reading hits_ back.

@@ -166,9 +166,12 @@ TEST(CheckedExecution, ConvLoweringsReplayClean) {
                                  .kernel = 3,
                                  .stride = 1,
                                  .padding = 1};
-  EXPECT_TRUE(check::check_im2col_conv(config, shape).clean());
-  EXPECT_TRUE(check::check_winograd_conv(config, shape).clean());
-  EXPECT_TRUE(check::check_winograd4_conv(config, shape).clean());
+  const auto lowerings = conv::lowerings(shape);
+  ASSERT_EQ(lowerings.size(), 3u);
+  for (const auto& lowering : lowerings) {
+    EXPECT_TRUE(check::check_conv(lowering.transform, config, shape).clean())
+        << conv::to_string(lowering.transform);
+  }
 }
 
 TEST(CheckedExecution, RegistrySubsetSweepIsClean) {

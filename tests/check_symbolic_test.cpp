@@ -18,7 +18,7 @@
 #include "check/symbolic/verifier.hpp"
 #include "common/csv.hpp"
 #include "common/error.hpp"
-#include "conv/winograd.hpp"
+#include "conv/conv2d.hpp"
 #include "gemm/access_metadata.hpp"
 #include "gemm/config.hpp"
 #include "perfmodel/device_spec.hpp"
@@ -178,8 +178,11 @@ TEST(SymbolicVerifier, WinogradBatchCountsAreInsideTheBatchedDomain) {
   const auto pattern =
       gemm::tiled_access_pattern(gemm::KernelConfig::parse("t4x2_a8_wg16x8"));
   const auto domain = domain_of(summarize_batched_tiled_gemm(pattern));
-  for (const std::size_t batch :
-       {conv::kWinogradF2Multiplies, conv::kWinogradF4Multiplies}) {
+  const conv::ConvShape shape = {.batch = 1, .in_height = 8, .in_width = 8,
+                                 .in_channels = 4, .out_channels = 4,
+                                 .kernel = 3, .stride = 1, .padding = 1};
+  for (const auto& lowering : conv::lowerings(shape)) {
+    const std::size_t batch = lowering.multiplies;
     Point p{};
     p[sym_index(Sym::m)] = 8;
     p[sym_index(Sym::k)] = 8;

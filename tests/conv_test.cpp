@@ -7,10 +7,11 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
+#include "conv/conv2d.hpp"
 #include "conv/direct.hpp"
 #include "conv/im2col.hpp"
-#include "conv/winograd.hpp"
 #include "dataset/lowering.hpp"
+#include "dataset/networks.hpp"
 #include "syclrt/queue.hpp"
 
 namespace aks::conv {
@@ -101,26 +102,29 @@ TEST(DirectConv, SizeValidation) {
   EXPECT_THROW(direct_conv2d(input, filter, bad, s), common::Error);
 }
 
-TEST(Im2col, ShapeMatchesDatasetLowering) {
-  ConvShape s;
-  s.batch = 4;
-  s.in_height = s.in_width = 28;
-  s.in_channels = 32;
-  s.out_channels = 64;
-  s.kernel = 3;
-  s.padding = 1;
+/// The dataset's rows for a one-layer network holding `layer` at `batch`.
+std::vector<data::LoweredGemm> dataset_rows(const data::ConvLayer& layer,
+                                            int batch) {
+  data::Network network;
+  network.name = "one_layer";
+  network.convs = {layer};
+  return data::lower_network(network, {batch});
+}
 
+TEST(Im2col, ShapeMatchesDatasetLowering) {
+  // The dataset holds the GEMM the library launches: its im2col row is the
+  // table's im2col entry.
   data::ConvLayer layer;
-  layer.in_channels = s.in_channels;
-  layer.out_channels = s.out_channels;
-  layer.kernel = s.kernel;
-  layer.stride = s.stride;
-  layer.padding = s.padding;
-  layer.in_height = s.in_height;
-  layer.in_width = s.in_width;
-  const auto expected = data::im2col_shape(layer, s.batch);
-  ASSERT_TRUE(expected.has_value());
-  EXPECT_EQ(im2col_gemm_shape(s), *expected);
+  layer.in_channels = 32;
+  layer.out_channels = 64;
+  layer.kernel = 3;
+  layer.padding = 1;
+  layer.in_height = layer.in_width = 28;
+  const auto rows = dataset_rows(layer, 4);
+  const auto table = lowerings(layer.shape(4));
+  ASSERT_FALSE(rows.empty());
+  EXPECT_EQ(rows[0].transform, Transform::kIm2col);
+  EXPECT_EQ(rows[0].shape, table[0].gemm_shape);
 }
 
 TEST(Im2col, PatchMatrixHasReceptiveFields) {
@@ -156,7 +160,8 @@ TEST_P(Im2colMatchesDirect, Equivalence) {
   const auto data = make_data(shape, 11);
   std::vector<float> output(shape.output_size());
   syclrt::Queue queue;
-  im2col_conv2d(queue, config, data.input, data.filter, output, shape);
+  conv2d(queue, Transform::kIm2col, config, data.input, data.filter, output,
+         shape);
   expect_near(output, data.expected, 1e-3f);
 }
 
@@ -186,24 +191,30 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(Winograd, ApplicabilityRules) {
-  EXPECT_TRUE(winograd_applicable(conv_case(1, 8, 4, 4, 3, 1, 1)));
-  EXPECT_FALSE(winograd_applicable(conv_case(1, 8, 4, 4, 3, 2, 1)));
-  EXPECT_FALSE(winograd_applicable(conv_case(1, 8, 4, 4, 1, 1, 0)));
-  EXPECT_FALSE(winograd_applicable(conv_case(1, 8, 4, 4, 5, 1, 2)));
+  const auto listed = [](const ConvShape& shape) {
+    return lowerings(shape).size();
+  };
+  EXPECT_EQ(listed(conv_case(1, 8, 4, 4, 3, 1, 1)), 3u);
+  EXPECT_EQ(listed(conv_case(1, 8, 4, 4, 3, 2, 1)), 1u);
+  EXPECT_EQ(listed(conv_case(1, 8, 4, 4, 1, 1, 0)), 1u);
+  EXPECT_EQ(listed(conv_case(1, 8, 4, 4, 5, 1, 2)), 1u);
 }
 
 TEST(Winograd, ShapeMatchesDatasetLowering) {
-  const auto s = conv_case(2, 14, 256, 512, 3, 1, 1);
+  // The dataset's Winograd row is the table's F(2x2) entry; the F(4x4)
+  // entry stays out of the dataset.
   data::ConvLayer layer;
-  layer.in_channels = s.in_channels;
-  layer.out_channels = s.out_channels;
+  layer.in_channels = 256;
+  layer.out_channels = 512;
   layer.kernel = 3;
-  layer.stride = 1;
   layer.padding = 1;
-  layer.in_height = layer.in_width = s.in_height;
-  const auto expected = data::winograd_shape(layer, s.batch);
-  ASSERT_TRUE(expected.has_value());
-  EXPECT_EQ(winograd_gemm_shape(s), *expected);
+  layer.in_height = layer.in_width = 14;
+  const auto rows = dataset_rows(layer, 2);
+  const auto table = lowerings(layer.shape(2));
+  ASSERT_EQ(rows.size(), 2u);
+  ASSERT_EQ(table.size(), 3u);
+  EXPECT_EQ(rows[1].transform, Transform::kWinograd);
+  EXPECT_EQ(rows[1].shape, table[1].gemm_shape);
 }
 
 class WinogradMatchesDirect : public ::testing::TestWithParam<Im2colCase> {};
@@ -213,7 +224,8 @@ TEST_P(WinogradMatchesDirect, Equivalence) {
   const auto data = make_data(shape, 13);
   std::vector<float> output(shape.output_size());
   syclrt::Queue queue;
-  winograd_conv2d(queue, config, data.input, data.filter, output, shape);
+  conv2d(queue, Transform::kWinograd, config, data.input, data.filter, output,
+         shape);
   // Winograd accumulates more rounding; loosen slightly.
   expect_near(output, data.expected, 5e-3f);
 }
@@ -238,8 +250,8 @@ TEST(Winograd, RejectsInapplicableShape) {
   std::vector<float> filter(shape.filter_size());
   std::vector<float> output(shape.output_size());
   syclrt::Queue queue;
-  EXPECT_THROW(winograd_conv2d(queue, {2, 2, 2, 8, 8}, input, filter, output,
-                               shape),
+  EXPECT_THROW(conv2d(queue, Transform::kWinograd, {2, 2, 2, 8, 8}, input,
+                      filter, output, shape),
                common::Error);
 }
 
@@ -250,7 +262,8 @@ TEST_P(Winograd4MatchesDirect, Equivalence) {
   const auto data = make_data(shape, 17);
   std::vector<float> output(shape.output_size());
   syclrt::Queue queue;
-  winograd4_conv2d(queue, config, data.input, data.filter, output, shape);
+  conv2d(queue, Transform::kWinograd4, config, data.input, data.filter, output,
+         shape);
   // F(4x4, 3x3) has larger transform constants; tolerance reflects that.
   expect_near(output, data.expected, 2e-2f);
 }
@@ -270,14 +283,16 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(Winograd4, ShapeFormulaAndFlopReduction) {
-  const auto s = conv_case(1, 56, 64, 64, 3, 1, 1);
-  const auto shape = winograd4_gemm_shape(s);
+  const auto table = lowerings(conv_case(1, 56, 64, 64, 3, 1, 1));
+  ASSERT_EQ(table.size(), 3u);
+  const auto shape = table[2].gemm_shape;
   EXPECT_EQ(shape.m, 14u * 14u);  // 4x4 output tiles over 56x56
   EXPECT_EQ(shape.k, 64u);
   EXPECT_EQ(shape.n, 64u);
   // Multiply reduction vs im2col: 9 / (36/16) = 4x.
-  const double direct_flops = im2col_gemm_shape(s).flops();
-  const double wino4_flops = 36.0 * shape.flops();
+  const double direct_flops = table[0].gemm_shape.flops();
+  const double wino4_flops =
+      static_cast<double>(table[2].multiplies) * shape.flops();
   EXPECT_NEAR(direct_flops / wino4_flops, 4.0, 0.1);
 }
 
@@ -287,19 +302,19 @@ TEST(Winograd4, RejectsInapplicableShape) {
   std::vector<float> filter(shape.filter_size());
   std::vector<float> output(shape.output_size());
   syclrt::Queue queue;
-  EXPECT_THROW(winograd4_conv2d(queue, {2, 2, 2, 8, 8}, input, filter, output,
-                                shape),
+  EXPECT_THROW(conv2d(queue, Transform::kWinograd4, {2, 2, 2, 8, 8}, input,
+                      filter, output, shape),
                common::Error);
 }
 
 TEST(Winograd, FlopReductionVsIm2col) {
   // The point of Winograd: the multiply count drops by up to 2.25x for
   // F(2x2, 3x3). Verify at the shape level.
-  const auto shape = conv_case(1, 56, 64, 64, 3, 1, 1);
-  const auto direct = im2col_gemm_shape(shape);
-  const auto wino = winograd_gemm_shape(shape);
-  const double direct_flops = direct.flops();
-  const double wino_flops = 16.0 * wino.flops();
+  const auto table = lowerings(conv_case(1, 56, 64, 64, 3, 1, 1));
+  ASSERT_EQ(table.size(), 3u);
+  const double direct_flops = table[0].gemm_shape.flops();
+  const double wino_flops =
+      static_cast<double>(table[1].multiplies) * table[1].gemm_shape.flops();
   EXPECT_LT(wino_flops, direct_flops);
   EXPECT_NEAR(direct_flops / wino_flops, 2.25, 0.05);
 }
@@ -309,9 +324,7 @@ TEST(Winograd, FlopReductionVsIm2col) {
 // the default queue (global pool), a queue over a one-worker pool, and a
 // deterministic-replay queue must agree bit for bit.
 
-enum class Lowering { kIm2col, kWinograd2, kWinograd4 };
-
-std::vector<float> run_lowering(Lowering lowering, syclrt::Queue& queue,
+std::vector<float> run_lowering(Transform transform, syclrt::Queue& queue,
                                 const ConvShape& shape, std::uint64_t seed) {
   common::Rng rng(seed);
   std::vector<float> input(shape.input_size());
@@ -320,18 +333,7 @@ std::vector<float> run_lowering(Lowering lowering, syclrt::Queue& queue,
   for (auto& v : filter) v = static_cast<float>(rng.uniform(-1, 1));
   std::vector<float> output(shape.output_size(),
                             std::numeric_limits<float>::quiet_NaN());
-  const gemm::KernelConfig config{4, 4, 4, 8, 8};
-  switch (lowering) {
-    case Lowering::kIm2col:
-      im2col_conv2d(queue, config, input, filter, output, shape);
-      break;
-    case Lowering::kWinograd2:
-      winograd_conv2d(queue, config, input, filter, output, shape);
-      break;
-    case Lowering::kWinograd4:
-      winograd4_conv2d(queue, config, input, filter, output, shape);
-      break;
-  }
+  conv2d(queue, transform, {4, 4, 4, 8, 8}, input, filter, output, shape);
   return output;
 }
 
@@ -346,8 +348,8 @@ std::uint64_t digest(const std::vector<float>& values) {
   return h;
 }
 
-constexpr Lowering kLowerings[] = {Lowering::kIm2col, Lowering::kWinograd2,
-                                   Lowering::kWinograd4};
+constexpr Transform kLowerings[] = {Transform::kIm2col, Transform::kWinograd,
+                                    Transform::kWinograd4};
 
 TEST(ConvBitIdentity, SameBitsOnEveryQueue) {
   // Shapes that split unevenly: batch 2, odd sizes, no padding, channel
@@ -357,9 +359,9 @@ TEST(ConvBitIdentity, SameBitsOnEveryQueue) {
       conv_case(2, 9, 70, 66, 3, 1, 1),  conv_case(1, 14, 512, 512, 3, 1, 1)};
   common::ThreadPool one_worker(1);
   for (const auto& shape : shapes) {
-    for (const Lowering lowering : kLowerings) {
-      SCOPED_TRACE("lowering " + std::to_string(static_cast<int>(lowering)) +
-                   ", in_c " + std::to_string(shape.in_channels));
+    for (const Transform lowering : kLowerings) {
+      SCOPED_TRACE("lowering " + to_string(lowering) + ", in_c " +
+                   std::to_string(shape.in_channels));
       syclrt::Queue pooled;
       syclrt::Queue serial(syclrt::Device::host(), &one_worker);
       syclrt::Queue replay;
@@ -408,6 +410,63 @@ TEST(ConvBitIdentity, PinnedDigests) {
           << " digest 0x" << digest(output);
     }
   }
+}
+
+// --- The lowering table -------------------------------------------------------
+
+TEST(ConvLowerings, NetworkLayersListIm2colFirstAndWinogradFor3x3Stride1) {
+  std::size_t layers = 0;
+  for (const auto& network : data::paper_networks()) {
+    for (const auto& layer : network.convs) {
+      if (layer.groups != 1) continue;
+      const bool winograd = layer.kernel == 3 && layer.stride == 1;
+      for (const int batch : {1, 4}) {
+        SCOPED_TRACE(network.name + ":" + layer.name + " batch " +
+                     std::to_string(batch));
+        const auto table = lowerings(layer.shape(batch));
+        ASSERT_EQ(table.size(), winograd ? 3u : 1u);
+        EXPECT_EQ(table[0].transform, Transform::kIm2col);
+        EXPECT_EQ(table[0].multiplies, 1u);
+        if (winograd) {
+          EXPECT_EQ(table[1].transform, Transform::kWinograd);
+          EXPECT_EQ(table[1].multiplies, 16u);
+          EXPECT_EQ(table[2].transform, Transform::kWinograd4);
+          EXPECT_EQ(table[2].multiplies, 36u);
+        }
+      }
+      ++layers;
+    }
+  }
+  EXPECT_EQ(layers, 101u);  // dense convolutions of the three networks
+}
+
+TEST(ConvLowerings, Conv2dRejectsWhatTheTableDoesNotList) {
+  const auto reject = [](Transform transform, const ConvShape& shape) {
+    std::vector<float> input(shape.input_size());
+    std::vector<float> filter(shape.filter_size());
+    std::vector<float> output(shape.output_size());
+    syclrt::Queue queue;
+    EXPECT_THROW(conv2d(queue, transform, {2, 2, 2, 8, 8}, input, filter,
+                        output, shape),
+                 common::Error)
+        << to_string(transform) << " kernel " << shape.kernel << " stride "
+        << shape.stride;
+  };
+  reject(Transform::kFullyConnected, conv_case(1, 8, 4, 4, 3, 1, 1));
+  for (const Transform winograd : {Transform::kWinograd, Transform::kWinograd4}) {
+    reject(winograd, conv_case(1, 8, 4, 4, 3, 2, 1));  // stride 2
+    reject(winograd, conv_case(1, 8, 4, 4, 1, 1, 0));  // 1x1
+  }
+}
+
+TEST(ConvLowerings, TransformNamesRoundTrip) {
+  for (const Transform t : {Transform::kIm2col, Transform::kWinograd,
+                            Transform::kFullyConnected, Transform::kWinograd4}) {
+    EXPECT_EQ(parse_transform(to_string(t), "test"), t);
+  }
+  EXPECT_THROW((void)parse_transform("garbage", "test"), common::Error);
+  EXPECT_THROW((void)parse_transform("", "test"), common::Error);
+  EXPECT_THROW((void)parse_transform("Winograd", "test"), common::Error);
 }
 
 }  // namespace

@@ -55,15 +55,6 @@ TEST_F(CodegenTest, EmitsCompilableLookingCode) {
   EXPECT_EQ(depth, 0);
 }
 
-TEST_F(CodegenTest, OptionsControlNames) {
-  CodegenOptions options;
-  options.function_name = "pick_kernel";
-  options.namespace_name = "";
-  const std::string code = generate_selector_code(selector(), options);
-  EXPECT_NE(code.find("pick_kernel"), std::string::npos);
-  EXPECT_EQ(code.find("namespace"), std::string::npos);
-}
-
 TEST_F(CodegenTest, GeneratedLogicMatchesSelectorEverywhere) {
   // The emitted nested ifs and the live selector must agree on every test
   // shape and on random probes.

@@ -26,7 +26,7 @@ TEST(Networks, Vgg16Structure) {
   for (const auto& conv : net.convs) {
     EXPECT_EQ(conv.kernel, 3);
     EXPECT_EQ(conv.stride, 1);
-    EXPECT_TRUE(conv.winograd_applicable());
+    EXPECT_EQ(conv.groups, 1);
   }
   EXPECT_EQ(net.fcs[0].in_features, 25088);
   EXPECT_EQ(net.fcs[2].out_features, 1000);
@@ -55,10 +55,18 @@ TEST(Networks, MobilenetV2Structure) {
 TEST(Networks, SpatialDimensionsChainCorrectly) {
   for (const auto& net : paper_networks()) {
     for (const auto& conv : net.convs) {
-      EXPECT_GT(conv.out_height(), 0) << net.name << ":" << conv.name;
-      EXPECT_GT(conv.out_width(), 0) << net.name << ":" << conv.name;
+      EXPECT_GT(conv.shape(1).out_height(), 0) << net.name << ":" << conv.name;
+      EXPECT_GT(conv.shape(1).out_width(), 0) << net.name << ":" << conv.name;
     }
   }
+}
+
+/// The dataset's rows for a one-layer network holding `conv` at `batch`.
+std::vector<LoweredGemm> rows_of(const ConvLayer& conv, int batch) {
+  Network network;
+  network.name = "one_layer";
+  network.convs = {conv};
+  return lower_network(network, {batch});
 }
 
 TEST(Lowering, Im2colShapeFormula) {
@@ -69,11 +77,13 @@ TEST(Lowering, Im2colShapeFormula) {
   conv.stride = 1;
   conv.padding = 1;
   conv.in_height = conv.in_width = 56;
-  const auto shape = im2col_shape(conv, 4);
-  ASSERT_TRUE(shape.has_value());
-  EXPECT_EQ(shape->m, 4u * 56 * 56);
-  EXPECT_EQ(shape->k, 64u * 9);
-  EXPECT_EQ(shape->n, 128u);
+  const auto rows = rows_of(conv, 4);
+  ASSERT_FALSE(rows.empty());
+  EXPECT_EQ(rows[0].transform, Transform::kIm2col);
+  EXPECT_EQ(rows[0].shape.m, 4u * 56 * 56);
+  EXPECT_EQ(rows[0].shape.k, 64u * 9);
+  EXPECT_EQ(rows[0].shape.n, 128u);
+  EXPECT_EQ(rows[0].batch, 4);
 }
 
 TEST(Lowering, Im2colSkipsDepthwise) {
@@ -82,8 +92,7 @@ TEST(Lowering, Im2colSkipsDepthwise) {
   dw.kernel = 3;
   dw.in_height = dw.in_width = 28;
   dw.padding = 1;
-  EXPECT_FALSE(im2col_shape(dw, 1).has_value());
-  EXPECT_FALSE(winograd_shape(dw, 1).has_value());
+  EXPECT_TRUE(rows_of(dw, 1).empty());
 }
 
 TEST(Lowering, WinogradShapeFormula) {
@@ -94,11 +103,12 @@ TEST(Lowering, WinogradShapeFormula) {
   conv.stride = 1;
   conv.padding = 1;
   conv.in_height = conv.in_width = 14;
-  const auto shape = winograd_shape(conv, 2);
-  ASSERT_TRUE(shape.has_value());
-  EXPECT_EQ(shape->m, 2u * 7 * 7);  // 2x2 output tiles over 14x14
-  EXPECT_EQ(shape->k, 256u);
-  EXPECT_EQ(shape->n, 512u);
+  const auto rows = rows_of(conv, 2);
+  ASSERT_EQ(rows.size(), 2u);  // im2col and F(2x2); F(4x4) stays out
+  EXPECT_EQ(rows[1].transform, Transform::kWinograd);
+  EXPECT_EQ(rows[1].shape.m, 2u * 7 * 7);  // 2x2 output tiles over 14x14
+  EXPECT_EQ(rows[1].shape.k, 256u);
+  EXPECT_EQ(rows[1].shape.n, 512u);
 }
 
 TEST(Lowering, WinogradRejectsStride2And1x1) {
@@ -109,14 +119,47 @@ TEST(Lowering, WinogradRejectsStride2And1x1) {
   strided.stride = 2;
   strided.padding = 1;
   strided.in_height = strided.in_width = 224;
-  EXPECT_FALSE(winograd_shape(strided, 1).has_value());
+  const auto strided_rows = rows_of(strided, 1);
+  ASSERT_EQ(strided_rows.size(), 1u);
+  EXPECT_EQ(strided_rows[0].transform, Transform::kIm2col);
 
   ConvLayer pointwise;
   pointwise.in_channels = 64;
   pointwise.out_channels = 256;
   pointwise.kernel = 1;
   pointwise.in_height = pointwise.in_width = 56;
-  EXPECT_FALSE(winograd_shape(pointwise, 1).has_value());
+  const auto pointwise_rows = rows_of(pointwise, 1);
+  ASSERT_EQ(pointwise_rows.size(), 1u);
+  EXPECT_EQ(pointwise_rows[0].transform, Transform::kIm2col);
+}
+
+TEST(Lowering, NetworkLoweringSkipsGroupedAndF4) {
+  // Every dense layer's rows are the table's entries minus F(4x4), in table
+  // order; grouped layers have none.
+  for (const auto& network : paper_networks()) {
+    for (const int batch : {1, 4}) {
+      std::vector<LoweredGemm> expected;
+      for (const auto& layer : network.convs) {
+        if (layer.groups != 1) continue;
+        for (const auto& lowering : conv::lowerings(layer.shape(batch))) {
+          if (lowering.transform == Transform::kWinograd4) continue;
+          expected.push_back({lowering.gemm_shape, lowering.transform,
+                              layer.name, network.name, batch});
+        }
+      }
+      std::vector<LoweredGemm> convs;
+      for (const auto& row : lower_network(network, {batch})) {
+        EXPECT_NE(row.transform, Transform::kWinograd4);
+        if (row.transform != Transform::kFullyConnected) convs.push_back(row);
+      }
+      ASSERT_EQ(convs.size(), expected.size()) << network.name;
+      for (std::size_t i = 0; i < convs.size(); ++i) {
+        EXPECT_EQ(convs[i].shape, expected[i].shape) << convs[i].layer;
+        EXPECT_EQ(convs[i].transform, expected[i].transform) << convs[i].layer;
+        EXPECT_EQ(convs[i].layer, expected[i].layer);
+      }
+    }
+  }
 }
 
 TEST(Lowering, FcShape) {
@@ -265,7 +308,15 @@ TEST(PerfDataset, SplitIsSeedDeterministic) {
 }
 
 TEST(PerfDataset, SaveLoadRoundTrip) {
-  const auto ds = tiny_dataset();
+  std::vector<LoweredGemm> shapes(4);
+  shapes[0] = {{64, 64, 64}, Transform::kIm2col, "a", "net", 1};
+  shapes[1] = {{1, 4096, 1000}, Transform::kFullyConnected, "b", "net", 1};
+  shapes[2] = {{784, 64, 64}, Transform::kWinograd, "c", "net", 4};
+  shapes[3] = {{196, 64, 64}, Transform::kWinograd4, "c", "net", 4};
+  data::RunnerOptions options;
+  options.iterations = 2;
+  const auto ds = run_model_benchmarks(
+      shapes, perf::DeviceSpec::amd_r9_nano(), options);
   const auto path =
       std::filesystem::temp_directory_path() / "aks_dataset_roundtrip.csv";
   ds.save(path);
@@ -274,6 +325,10 @@ TEST(PerfDataset, SaveLoadRoundTrip) {
   EXPECT_EQ(loaded.num_configs(), ds.num_configs());
   for (std::size_t r = 0; r < ds.num_shapes(); ++r) {
     EXPECT_EQ(loaded.shapes()[r].shape, ds.shapes()[r].shape);
+    EXPECT_EQ(loaded.shapes()[r].transform, ds.shapes()[r].transform)
+        << "row " << r;
+    EXPECT_EQ(loaded.shapes()[r].layer, ds.shapes()[r].layer);
+    EXPECT_EQ(loaded.shapes()[r].batch, ds.shapes()[r].batch);
     for (std::size_t c = 0; c < ds.num_configs(); ++c) {
       EXPECT_NEAR(loaded.times()(r, c), ds.times()(r, c),
                   1e-9 * ds.times()(r, c));
@@ -288,10 +343,11 @@ TEST(PerfDataset, LoadRejectsMalformedCellsWithError) {
   tiny_dataset().save(path);
   const auto valid = common::read_csv(path);
   // (column, text): each cell is read whole, so none of these may load as
-  // its numeric prefix or escape as a std:: exception.
+  // its numeric prefix or escape as a std:: exception, and a transform cell
+  // must name a transform.
   const std::vector<std::pair<std::size_t, std::string>> cells = {
       {4, "12x"}, {3, "abc"}, {5, "-1"}, {6, "99999999999999999999"},
-      {7, "0.5x"}, {8, " 0.5"}, {9, ""}};
+      {7, "0.5x"}, {8, " 0.5"}, {9, ""}, {2, "garbage"}};
   for (const auto& [column, text] : cells) {
     auto table = valid;
     table.rows[0][column] = text;

@@ -8,7 +8,6 @@
 #include "ml/gradient_boosting.hpp"
 #include "ml/linalg.hpp"
 #include "ml/metrics.hpp"
-#include "ml/model_selection.hpp"
 
 namespace aks::ml {
 namespace {
@@ -173,54 +172,6 @@ TEST(Agglomerative, RejectsBadInput) {
                common::Error);
   Agglomerative agg(AgglomerativeOptions{5, Linkage::kAverage});
   EXPECT_THROW(agg.fit(Matrix(3, 2)), common::Error);
-}
-
-TEST(ModelSelection, KFoldPartitionsAreDisjointAndComplete) {
-  const auto folds = k_fold(23, 4, 7);
-  ASSERT_EQ(folds.size(), 4u);
-  std::set<std::size_t> all_validation;
-  for (const auto& fold : folds) {
-    EXPECT_EQ(fold.train.size() + fold.validation.size(), 23u);
-    for (const std::size_t v : fold.validation) {
-      EXPECT_TRUE(all_validation.insert(v).second) << "row in two folds";
-    }
-    // Train and validation are disjoint.
-    std::set<std::size_t> train(fold.train.begin(), fold.train.end());
-    for (const std::size_t v : fold.validation) EXPECT_EQ(train.count(v), 0u);
-  }
-  EXPECT_EQ(all_validation.size(), 23u);
-}
-
-TEST(ModelSelection, FoldSizesBalanced) {
-  const auto folds = k_fold(10, 3, 1);
-  for (const auto& fold : folds) {
-    EXPECT_GE(fold.validation.size(), 3u);
-    EXPECT_LE(fold.validation.size(), 4u);
-  }
-}
-
-TEST(ModelSelection, CrossValScoresLearnableProblemHighly) {
-  Matrix x;
-  std::vector<int> y;
-  threshold_problem(150, 8, x, y);
-  const double score = cross_val_accuracy(
-      [](const Matrix& x_train, const std::vector<int>& y_train,
-         const Matrix& x_val) {
-        DecisionTreeClassifier tree;
-        tree.fit(x_train, y_train);
-        return tree.predict(x_val);
-      },
-      x, y, 5, 3);
-  EXPECT_GT(score, 0.9);
-}
-
-TEST(ModelSelection, CrossValRejectsBadInput) {
-  EXPECT_THROW((void)k_fold(3, 5, 1), common::Error);
-  EXPECT_THROW((void)k_fold(10, 1, 1), common::Error);
-  Matrix x(4, 1);
-  EXPECT_THROW(
-      (void)cross_val_accuracy(nullptr, x, {0, 1, 0, 1}, 2, 1),
-      common::Error);
 }
 
 }  // namespace

@@ -241,21 +241,22 @@ TEST(SelectionService, BatchWaveFaultDegradesOnlyFailingShape) {
 }
 
 TEST(OnlineTunerConcurrency, QuarantineEngagesAfterConsecutiveFailures) {
-  // Candidate trials all fail (rate 1 at the warm-up site): after
-  // `quarantine_threshold` sweeps every non-fallback candidate is
-  // quarantined, sweep() serves the fallback without throwing, and the
-  // quarantine list excludes the fallback.
+  // Candidate trials all fail (rate 1 at the warm-up site): the third
+  // failing sweep (select::kQuarantineThreshold) quarantines every
+  // non-fallback candidate, sweep() serves the fallback without throwing,
+  // and the quarantine list excludes the fallback.
+  static_assert(select::kQuarantineThreshold == 3);
   faults::ScopedFaultPlan install(warmup_failure_plan(1.0));
   const std::vector<std::size_t> candidates = {5, 200, 450};
-  select::TunerOptions options;
-  options.quarantine_threshold = 2;
-  select::OnlineTuner tuner(candidates, model_timer(), options);
+  select::OnlineTuner tuner(candidates, model_timer());
 
   const auto shapes = test_shapes(5);
-  for (const auto& shape : shapes) {
+  for (std::size_t i = 0; i < shapes.size(); ++i) {
     gemm::KernelConfig config{};
-    EXPECT_NO_THROW(config = tuner.sweep(shape));
+    EXPECT_NO_THROW(config = tuner.sweep(shapes[i]));
     EXPECT_EQ(gemm::config_index(config), candidates.front());
+    EXPECT_EQ(tuner.quarantined().empty(), i + 1 < select::kQuarantineThreshold)
+        << "after sweep " << i + 1;
   }
   EXPECT_EQ(tuner.degraded_selects(), shapes.size());
   EXPECT_GT(tuner.trial_failures(), 0u);
@@ -265,10 +266,9 @@ TEST(OnlineTunerConcurrency, QuarantineEngagesAfterConsecutiveFailures) {
 }
 
 TEST(OnlineTunerConcurrency, QuarantineRecoversWhenFaultsStop) {
+  // One failing sweep stays below select::kQuarantineThreshold.
   const std::vector<std::size_t> candidates = {5, 200, 450};
-  select::TunerOptions options;
-  options.quarantine_threshold = 100;  // high: no quarantine in this test
-  select::OnlineTuner tuner(candidates, model_timer(), options);
+  select::OnlineTuner tuner(candidates, model_timer());
   {
     faults::ScopedFaultPlan install(warmup_failure_plan(1.0));
     (void)tuner.sweep({64, 64, 64});

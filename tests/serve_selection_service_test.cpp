@@ -86,17 +86,6 @@ TEST(SelectionService, CachesAndCountsSingleThreaded) {
   EXPECT_GE(stats.warmup_seconds, 0.0);
 }
 
-TEST(SelectionService, RoundsShardCountToPowerOfTwo) {
-  auto warm = std::make_shared<CountingWarmUp>();
-  ServiceOptions options;
-  options.num_shards = 5;
-  SelectionService service(
-      [warm](const gemm::GemmShape& s) { return (*warm)(s); }, options);
-  EXPECT_EQ(service.num_shards(), 8u);
-  for (const auto& shape : test_shapes(64)) (void)service.select(shape);
-  EXPECT_EQ(service.stats().cached_shapes, 64u);
-}
-
 TEST(SelectionService, ConcurrentFirstSightWarmsUpExactlyOnce) {
   auto warm =
       std::make_shared<CountingWarmUp>(std::chrono::microseconds(2000));
