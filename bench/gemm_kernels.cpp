@@ -23,30 +23,38 @@ struct Workload {
   std::vector<float> c;
 };
 
-Workload make_workload(const gemm::GemmShape& shape) {
+Workload make_workload(const gemm::GemmShape& shape, std::size_t batch) {
   common::Rng rng(42);
   Workload w;
   w.shape = shape;
-  w.a.resize(shape.m * shape.k);
-  w.b.resize(shape.k * shape.n);
-  w.c.resize(shape.m * shape.n);
+  w.a.resize(batch * shape.m * shape.k);
+  w.b.resize(batch * shape.k * shape.n);
+  w.c.resize(batch * shape.m * shape.n);
   for (auto& v : w.a) v = static_cast<float>(rng.uniform(-1, 1));
   for (auto& v : w.b) v = static_cast<float>(rng.uniform(-1, 1));
   return w;
 }
 
+/// One launch of `config` on `shape`; a batch above 1 runs as one batched
+/// launch of that many multiplies.
 void bench_gemm(benchmark::State& state, const gemm::KernelConfig& config,
-                const gemm::GemmShape& shape) {
-  auto workload = make_workload(shape);
+                const gemm::GemmShape& shape, std::size_t batch = 1) {
+  auto workload = make_workload(shape, batch);
   syclrt::Queue queue;
   for (auto _ : state) {
-    gemm::launch_gemm(queue, config, workload.a, workload.b, workload.c,
-                      workload.shape);
+    if (batch == 1) {
+      gemm::launch_gemm(queue, config, workload.a, workload.b, workload.c,
+                        workload.shape);
+    } else {
+      gemm::launch_batched_gemm(queue, config, workload.a, workload.b,
+                                workload.c, workload.shape, batch);
+    }
     benchmark::DoNotOptimize(workload.c.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
   state.counters["GFLOP/s"] = benchmark::Counter(
-      shape.flops() * static_cast<double>(state.iterations()) * 1e-9,
+      shape.flops() * static_cast<double>(batch) *
+          static_cast<double>(state.iterations()) * 1e-9,
       benchmark::Counter::kIsRate);
 }
 
@@ -103,6 +111,30 @@ void register_benchmarks() {
                                [](benchmark::State& state) {
                                  bench_batched_winograd_style(state, true);
                                });
+  // The launches that dominate a perfbench network_forward round, with the
+  // config the shipped selector gives each: VGG-16's 28x28, 512-channel
+  // convolutions under Winograd F(4x4) (36 batched multiplies), its first
+  // FC layer (M = 1) and its first convolution under im2col (K = 27).
+  struct NetworkLaunch {
+    gemm::GemmShape shape;
+    gemm::KernelConfig config;
+    std::size_t batch;
+  };
+  const NetworkLaunch network_launches[] = {
+      {{49, 512, 512}, {1, 4, 8, 8, 32}, 36},
+      {{1, 25088, 4096}, {4, 1, 8, 8, 32}, 1},
+      {{50176, 27, 64}, {4, 2, 8, 8, 32}, 1},
+  };
+  for (const auto& launch : network_launches) {
+    benchmark::RegisterBenchmark(
+        ("gemm/network/" + launch.shape.to_string() +
+         (launch.batch > 1 ? "_batch" + std::to_string(launch.batch) : "") +
+         "/" + launch.config.name())
+            .c_str(),
+        [launch](benchmark::State& state) {
+          bench_gemm(state, launch.config, launch.shape, launch.batch);
+        });
+  }
   for (const auto& shape : shapes) {
     for (const auto& config : configs) {
       benchmark::RegisterBenchmark(

@@ -8,9 +8,9 @@
 //   * out_of_bounds      — an index beyond the accessor's view; the access
 //                          is redirected to a sacrificial sink element so
 //                          the replay can continue safely past the bug.
-//   * tail_unguarded     — any access made by a work-item outside the
-//                          logical global range that has not consulted
-//                          NdItem::in_range() first.
+//   * tail_unguarded     — any access made by a work-item (or run)
+//                          outside the logical global range that has not
+//                          consulted NdItem::in_range() first.
 //   * write_write_race   — two distinct work-groups wrote one element.
 //   * read_write_race    — one work-group read an element another wrote.
 //
@@ -20,9 +20,12 @@
 // group, and the shadow state needs no synchronisation. The work-items of
 // a group run on one thread. A kernel with a work-group entry (the tiled
 // GEMMs) interleaves them pass by pass, and the executor refreshes the
-// item fields of the context before each item of each pass. Either way
-// intra-group reuse is never a race, mirroring the SYCL memory model,
-// where cross-group coherence is the only thing a kernel cannot assume.
+// item fields of the context before each item, or each run of adjacent
+// items, of each pass; a run lies wholly inside or outside the logical
+// range, so a tail run that skips its in_range() check is reported like a
+// tail item. Either way intra-group reuse is never a race, mirroring the
+// SYCL memory model, where cross-group coherence is the only thing a
+// kernel cannot assume.
 //
 // Mutable accessors model SYCL write accessors: every access through them
 // counts as a write (the kernels in this repo never read C).

@@ -8,20 +8,24 @@
 // 64 combinations is a separately compiled kernel. The work-group shape is
 // a runtime launch parameter and needs no extra instantiations.
 //
-// Interior work-items (whole tiles, whole accumulator steps) run a fully
-// unrolled fast path over fixed-size register arrays; edge items fall back
-// to a guarded path. This mirrors how the real kernels trade register
-// pressure against unrolling, which is what gives each instantiation its
-// distinct performance character on a GPU.
-//
 // Both kernels run as work-group entries (see syclrt/queue.hpp). A group
-// makes one parallel_for_work_item pass per kKChunk values of K and keeps
-// each item's accumulator tile in private memory between passes; the last
-// pass stores the tiles. The group's items therefore reuse one chunk of
-// their shared A rows and B columns while it is in cache; they do not each
-// stream all of K alone. What each item computes is unchanged, and so are
-// the bits: a chunk holds whole accumulator steps, so every output still
-// sums k in ascending order in float, as gemm::reference_gemm does.
+// makes one parallel_for_work_item_runs pass per kKChunk values of K and
+// keeps each item's accumulator tile in private memory between passes; the
+// last pass stores the tiles. The group's items therefore reuse one chunk
+// of their shared A rows and B columns while it is in cache; they do not
+// each stream all of K alone.
+//
+// Within a pass the host computes a run of adjacent items together, as a
+// CPU SYCL device runs a sub-group's items in SIMD lanes: the run's whole
+// tiles are cut into blocks of rows x columns whose accumulators sit in
+// 4-float vector registers for the whole chunk. For each k a block loads
+// its B row segment once, broadcasts each A value across it, and adds the
+// products; AccSize is the K step the block unrolls, and a K remainder runs
+// one k at a time. A run with fewer than RowTile rows left (a row edge)
+// runs one-row blocks. Only a run's last tile, when it crosses N, takes the
+// guarded scalar edge path. What each item computes is unchanged, and so
+// are the bits: every output still sums k in ascending order with a
+// separate float multiply and add, as gemm::reference_gemm does.
 //
 // The accessor types are template parameters defaulting to spans so the
 // checked execution mode (src/check) can instantiate the very same kernel
@@ -35,6 +39,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstring>
 #include <optional>
 #include <span>
 #include <utility>
@@ -50,9 +55,34 @@ namespace aks::gemm {
 /// multiple of every AccSize. Of 64, 128, 256, 512 and 1024, 128 made the
 /// fastest launches with K > 256 in traced network_forward rounds on a
 /// 4-core Xeon with 48 KB of L1d and 2 MB of L2 per core: a shorter chunk
-/// pays the per-pass cost of each item more often, a longer one lets the
-/// group's A and B panels fall out of cache.
+/// pays the per-pass cost more often, a longer one lets the group's A and B
+/// panels fall out of cache. Re-checked once runs were computed in blocks:
+/// 256 read within noise of 128 (see EXPERIMENTS.md).
 inline constexpr std::size_t kKChunk = 128;
+
+namespace detail {
+
+/// Four floats in one SIMD register: the GCC/Clang vector extension, which
+/// the compiler lowers to the baseline vector unit (SSE2 on x86-64).
+using Float4 = float __attribute__((vector_size(16)));
+
+/// Loads `Lanes` (at most 4) consecutive values of `view` from index `i`
+/// into the low lanes of a vector and zeroes the rest.
+template <std::size_t Lanes, typename View>
+[[gnu::always_inline]] inline Float4 load_lanes(const View& view,
+                                                std::size_t i) {
+  Float4 v{};
+  if constexpr (requires { view.data(); }) {
+    // Contiguous memory: one unaligned load.
+    std::memcpy(&v, view.data() + i, Lanes * sizeof(float));
+  } else {
+    // A recording accessor (src/check) sees every element it hands out.
+    for (std::size_t l = 0; l < Lanes; ++l) v[l] = view[i + l];
+  }
+  return v;
+}
+
+}  // namespace detail
 
 /// The launch geometry of every tiled-GEMM launch, shipped and checked
 /// alike (see kTiledInstantiations): one work-item per RowTile x ColTile
@@ -117,65 +147,135 @@ class TiledGemmKernel {
   /// One work-item's accumulator tile, kept across the group's K passes.
   using Tile = std::array<std::array<float, kColTile>, kRowTile>;
 
+  /// Rows of a block over whole tiles, and the widest block's columns: 8
+  /// vector accumulators, which leaves the B segment and the broadcast A
+  /// value room in 16 vector registers.
+  static constexpr std::size_t kBlockRows = std::min<std::size_t>(kRowTile, 4);
+  static constexpr std::size_t kBlockFloats = 32;
+
   /// Runs one work-group of a launch whose last two dimensions index
   /// output tiles (see the file comment). `kernel_of(item)` returns the
-  /// kernel, that is the operand views, that the item computes with, or
-  /// nothing when the item has no batch entry.
+  /// kernel, that is the operand views, that the run starting at `item`
+  /// computes with, or nothing when the run has no batch entry.
   template <int Dims, typename KernelOf>
   static void run_group(const syclrt::WorkGroup<Dims>& group,
                         const GemmShape& shape, const KernelOf& kernel_of) {
     syclrt::PrivateMemory<Tile, Dims> tiles(group);
     for (std::size_t k0 = 0; k0 < shape.k; k0 += kKChunk) {
       const std::size_t k1 = std::min(k0 + kKChunk, shape.k);
-      group.parallel_for_work_item([&](const syclrt::NdItem<Dims>& item) {
-        const std::optional<TiledGemmKernel> kernel = kernel_of(item);
-        if (!kernel) return;
-        // Items past the shape (the padded launch) do nothing.
-        const std::size_t row0 = item.get_global_id(Dims - 2) * kRowTile;
-        const std::size_t col0 = item.get_global_id(Dims - 1) * kColTile;
-        if (row0 >= shape.m || col0 >= shape.n) return;
-        kernel->accumulate(row0, col0, k0, k1, tiles(item));
-        if (k1 == shape.k) kernel->store(row0, col0, tiles(item));
-      });
+      group.parallel_for_work_item_runs(
+          [&](const syclrt::NdItem<Dims>& first, std::size_t count) {
+            const std::optional<TiledGemmKernel> kernel = kernel_of(first);
+            if (!kernel) return;
+            // Runs past the shape (the padded launch) do nothing; a run
+            // inside the logical range has every tile origin in the shape.
+            const std::size_t row0 = first.get_global_id(Dims - 2) * kRowTile;
+            const std::size_t col0 = first.get_global_id(Dims - 1) * kColTile;
+            if (row0 >= shape.m || col0 >= shape.n) return;
+            const std::span<Tile> run = tiles(first, count);
+            kernel->accumulate(row0, col0, k0, k1, run);
+            if (k1 != shape.k) return;
+            for (std::size_t t = 0; t < run.size(); ++t)
+              kernel->store(row0, col0 + t * kColTile, run[t]);
+          });
     }
   }
 
-  /// Adds the products for k in [k0, k1) to the tile at (row0, col0).
+  /// Adds the products for k in [k0, k1) to the tiles of a run whose first
+  /// tile is at (row0, col0).
   void accumulate(std::size_t row0, std::size_t col0, std::size_t k0,
-                  std::size_t k1, Tile& tile) const {
-    const bool interior = row0 + kRowTile <= shape_.m &&
-                          col0 + kColTile <= shape_.n &&
-                          shape_.k % kAccSize == 0;
-    if (interior) {
-      accumulate_interior(row0, col0, k0, k1, tile);
+                  std::size_t k1, std::span<Tile> run) const {
+    // Only the last tile of a run can cross N.
+    std::size_t whole = run.size();
+    if (col0 + whole * kColTile > shape_.n) --whole;
+    if (row0 + kRowTile <= shape_.m) {
+      for (std::size_t r = 0; r < kRowTile; r += kBlockRows)
+        accumulate_blocks<kBlockRows, kBlockFloats / kBlockRows>(
+            row0, r, col0, 0, whole, k0, k1, run);
     } else {
-      accumulate_edge(row0, col0, k0, k1, tile);
+      for (std::size_t r = 0; row0 + r < shape_.m; ++r)
+        accumulate_blocks<1, kBlockFloats>(row0, r, col0, 0, whole, k0, k1,
+                                           run);
     }
+    if (whole < run.size())
+      accumulate_edge(row0, col0 + whole * kColTile, k0, k1, run[whole]);
   }
 
-  void accumulate_interior(std::size_t row0, std::size_t col0, std::size_t k0,
-                           std::size_t k1, Tile& tile) const {
-    for (std::size_t k = k0; k < k1; k += kAccSize) {
-      // Stage operands in registers, as the GPU kernel does.
-      float a_block[kRowTile][kAccSize];
-      for (int r = 0; r < RowTile; ++r)
-        for (int s = 0; s < AccSize; ++s)
-          a_block[r][s] = a_[(row0 + static_cast<std::size_t>(r)) * shape_.k +
-                             k + static_cast<std::size_t>(s)];
-      float b_block[kAccSize][kColTile];
-      for (int s = 0; s < AccSize; ++s)
-        for (int c = 0; c < ColTile; ++c)
-          b_block[s][c] = b_[(k + static_cast<std::size_t>(s)) * shape_.n +
-                             col0 + static_cast<std::size_t>(c)];
-      // One running sum per output: a local the compiler keeps in a
-      // register, which it will not do for the tile's own elements.
-      for (std::size_t r = 0; r < kRowTile; ++r)
-        for (std::size_t c = 0; c < kColTile; ++c) {
-          float sum = tile[r][c];
-          for (std::size_t s = 0; s < kAccSize; ++s)
-            sum += a_block[r][s] * b_block[s][c];
-          tile[r][c] = sum;
+  /// Runs tiles [t, end) of tile rows [r, r + Rows) in blocks W columns
+  /// wide while they last, then hands what is left, fewer than W columns
+  /// and whole tiles, to blocks of half the width.
+  template <std::size_t Rows, std::size_t W>
+  void accumulate_blocks(std::size_t row0, std::size_t r, std::size_t col0,
+                         std::size_t t, std::size_t end, std::size_t k0,
+                         std::size_t k1, std::span<Tile> run) const {
+    static_assert(W % kColTile == 0, "a block holds whole tiles");
+    constexpr std::size_t kTiles = W / kColTile;
+    for (; end - t >= kTiles; t += kTiles)
+      accumulate_block<Rows, W>(row0, r, col0, t, k0, k1, run);
+    if constexpr (W / 2 >= kColTile)
+      accumulate_blocks<Rows, W / 2>(row0, r, col0, t, end, k0, k1, run);
+  }
+
+  /// Adds the products for k in [k0, k1) to tile rows [r, r + Rows) of the
+  /// W columns that start with the run's tile t. The accumulators are
+  /// loaded from the tiles, stay in vector registers for the whole chunk,
+  /// and are stored back at its end.
+  template <std::size_t Rows, std::size_t W>
+  void accumulate_block(std::size_t row0, std::size_t r, std::size_t col0,
+                        std::size_t t, std::size_t k0, std::size_t k1,
+                        std::span<Tile> run) const {
+    constexpr std::size_t kVecs = (W + 3) / 4;
+    constexpr std::size_t kLanes = std::min<std::size_t>(W, 4);
+    detail::Float4 acc[Rows][kVecs];
+#pragma GCC unroll 4
+    for (std::size_t i = 0; i < Rows; ++i)
+#pragma GCC unroll 8
+      for (std::size_t v = 0; v < kVecs; ++v) {
+        detail::Float4 lanes{};
+#pragma GCC unroll 4
+        for (std::size_t l = 0; l < kLanes; ++l) {
+          const std::size_t c = v * 4 + l;
+          lanes[l] = run[t + c / kColTile][r + i][c % kColTile];
         }
+        acc[i][v] = lanes;
+      }
+    const std::size_t row = row0 + r;
+    const std::size_t col = col0 + t * kColTile;
+    std::size_t k = k0;
+    for (; k + kAccSize <= k1; k += kAccSize) {
+#pragma GCC unroll 8
+      for (std::size_t s = 0; s < kAccSize; ++s)
+        block_step<Rows, W>(row, col, k + s, acc);
+    }
+    for (; k < k1; ++k) block_step<Rows, W>(row, col, k, acc);
+#pragma GCC unroll 4
+    for (std::size_t i = 0; i < Rows; ++i)
+#pragma GCC unroll 8
+      for (std::size_t v = 0; v < kVecs; ++v)
+#pragma GCC unroll 4
+        for (std::size_t l = 0; l < kLanes; ++l) {
+          const std::size_t c = v * 4 + l;
+          run[t + c / kColTile][r + i][c % kColTile] = acc[i][v][l];
+        }
+  }
+
+  /// One k of a block whose top-left output is (row, col): acc += a * b
+  /// for the B row segment and each row's broadcast A value.
+  template <std::size_t Rows, std::size_t W>
+  [[gnu::always_inline]] void block_step(
+      std::size_t row, std::size_t col, std::size_t k,
+      detail::Float4 (&acc)[Rows][(W + 3) / 4]) const {
+    constexpr std::size_t kVecs = (W + 3) / 4;
+    constexpr std::size_t kLanes = std::min<std::size_t>(W, 4);
+    detail::Float4 b[kVecs];
+#pragma GCC unroll 8
+    for (std::size_t v = 0; v < kVecs; ++v)
+      b[v] = detail::load_lanes<kLanes>(b_, k * shape_.n + col + v * 4);
+#pragma GCC unroll 4
+    for (std::size_t i = 0; i < Rows; ++i) {
+      const float a = a_[(row + i) * shape_.k + k];
+#pragma GCC unroll 8
+      for (std::size_t v = 0; v < kVecs; ++v) acc[i][v] += a * b[v];
     }
   }
 

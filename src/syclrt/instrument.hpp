@@ -6,7 +6,9 @@
 // The runtime publishes that information through a thread-local pointer: the
 // replay executor installs an `ItemContext` for the duration of a
 // submission, `WorkGroup::parallel_for_work_item` refreshes the per-item
-// fields before each kernel invocation, and `NdItem::in_range()` flips
+// fields before each item and `WorkGroup::parallel_for_work_item_runs`
+// before each run (a run lies wholly inside or outside the logical range,
+// so its items share the fields), and `NdItem::in_range()` flips
 // `guard_queried`. Checked accessors read the context at every access.
 //
 // Outside replay submissions the pointer is null and the hooks cost one
@@ -20,13 +22,16 @@
 
 namespace aks::syclrt::instrument {
 
-/// Execution state of the work-item currently running on this thread.
+/// Execution state of the work-item, or run of work-items, currently
+/// running on this thread.
 struct ItemContext {
   /// Flat index of the executing work-group (row-major over group counts).
   std::size_t flat_group = 0;
-  /// True when the item lies inside the logical (unpadded) global range.
+  /// True when the item (or run) lies inside the logical (unpadded) global
+  /// range.
   bool item_in_logical_range = true;
-  /// True once the kernel has called `in_range()` for the current item.
+  /// True once the kernel has called `in_range()` for the current item (or
+  /// run).
   bool guard_queried = false;
 };
 

@@ -8,12 +8,17 @@
 // so a kernel may instead provide a work-group entry,
 // `kernel(const WorkGroup<Dims>&)`, which the executor calls once per
 // group. The entry sees the launch's unpadded logical range and may make
-// several `WorkGroup::parallel_for_work_item` passes; each is a full pass
-// over the group's items, so the gap between two passes has work-group
-// barrier semantics. Values the passes share live in the entry's scope
-// (one instance per group, SYCL's local memory) or in a `PrivateMemory`
-// (one value per item). The register-tiled GEMM family uses this to
-// advance a whole group through K one cache-sized chunk at a time.
+// several passes over the group's items; each pass is complete before the
+// next begins, so the gap between two passes has work-group barrier
+// semantics. A `WorkGroup::parallel_for_work_item` pass hands the kernel
+// one item at a time. A `WorkGroup::parallel_for_work_item_runs` pass hands
+// it one run at a time: a local row of consecutive items along the last
+// dimension, cut at the logical edge, which the kernel may compute
+// together, as a CPU SYCL device runs a sub-group's items in SIMD lanes.
+// Values the passes share live in the entry's scope (one instance per
+// group, SYCL's local memory) or in a `PrivateMemory` (one value per item).
+// The register-tiled GEMM family uses runs to advance a whole group through
+// K one cache-sized chunk at a time.
 //
 // Submissions are synchronous: the call returns once every work-group has
 // finished, and returns an Event carrying the measured wall time. A SYCL
@@ -30,7 +35,10 @@
 // launches cannot deadlock (see common/thread_pool.hpp).
 #pragma once
 
+#include <algorithm>
+#include <span>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -66,7 +74,8 @@ struct Event {
 };
 
 /// Handle passed to a kernel's work-group entry; iterates the group's
-/// work-items, one full pass per parallel_for_work_item call.
+/// work-items, one full pass per parallel_for_work_item or
+/// parallel_for_work_item_runs call.
 template <int Dims>
 class WorkGroup {
  public:
@@ -87,35 +96,71 @@ class WorkGroup {
   /// separated by an implicit work-group barrier (sequential execution).
   template <typename Fn>
   void parallel_for_work_item(Fn&& fn) const {
-    if constexpr (Dims == 1) {
-      for (std::size_t l0 = 0; l0 < local_range_[0]; ++l0)
-        run_item(fn, NdItem<1>(group_, Id<1>(l0), local_range_,
-                               logical_global_));
-    } else if constexpr (Dims == 2) {
-      for (std::size_t l0 = 0; l0 < local_range_[0]; ++l0)
-        for (std::size_t l1 = 0; l1 < local_range_[1]; ++l1)
-          run_item(fn, NdItem<2>(group_, Id<2>(l0, l1), local_range_,
-                                 logical_global_));
-    } else {
-      for (std::size_t l0 = 0; l0 < local_range_[0]; ++l0)
-        for (std::size_t l1 = 0; l1 < local_range_[1]; ++l1)
-          for (std::size_t l2 = 0; l2 < local_range_[2]; ++l2)
-            run_item(fn, NdItem<3>(group_, Id<3>(l0, l1, l2), local_range_,
-                                   logical_global_));
-    }
+    for_each_row([&](Id<Dims> local) {
+      for (std::size_t l = 0; l < local_range_[kLast]; ++l) {
+        local[kLast] = l;
+        run(fn, local);
+      }
+    });
+  }
+
+  /// Runs fn(first_item, count) once per run of this group: a local row
+  /// along the last dimension, cut where it leaves the logical range, so
+  /// that each run lies wholly inside or wholly outside that range. The run
+  /// is first_item and the count - 1 items after it along the last
+  /// dimension. Runs come in parallel_for_work_item's order, and passes are
+  /// separated by the same implicit barrier.
+  template <typename Fn>
+  void parallel_for_work_item_runs(Fn&& fn) const {
+    const std::size_t width = local_range_[kLast];
+    const std::size_t origin = group_[kLast] * width;
+    // Items of a row below local id `inside` are inside the logical range
+    // along the last dimension.
+    const std::size_t inside =
+        logical_global_[kLast] > origin
+            ? std::min(width, logical_global_[kLast] - origin)
+            : 0;
+    for_each_row([&](Id<Dims> local) {
+      for (const auto& [first, end] : {std::pair{std::size_t{0}, inside},
+                                       std::pair{inside, width}}) {
+        if (first == end) continue;
+        local[kLast] = first;
+        run(fn, local, end - first);
+      }
+    });
   }
 
  private:
-  /// Refreshes the instrumentation context (when one is installed) before
-  /// handing the item to the kernel, so checked accessors can attribute the
-  /// access and detect unguarded tail items.
+  static constexpr int kLast = Dims - 1;
+
+  /// Calls fn(local) for each local row of the group in row-major order,
+  /// with the last dimension of `local` zero.
   template <typename Fn>
-  void run_item(Fn& fn, NdItem<Dims> item) const {
+  void for_each_row(Fn&& fn) const {
+    Id<Dims> local;
+    if constexpr (Dims == 1) {
+      fn(local);
+    } else if constexpr (Dims == 2) {
+      for (local[0] = 0; local[0] < local_range_[0]; ++local[0]) fn(local);
+    } else {
+      for (local[0] = 0; local[0] < local_range_[0]; ++local[0])
+        for (local[1] = 0; local[1] < local_range_[1]; ++local[1]) fn(local);
+    }
+  }
+
+  /// Refreshes the instrumentation context (when one is installed) before
+  /// handing the item, or the run it starts, to the kernel, so checked
+  /// accessors can attribute the accesses and detect unguarded tail items.
+  /// A run lies wholly inside or outside the logical range, so its first
+  /// item speaks for all of it.
+  template <typename Fn, typename... Count>
+  void run(Fn& fn, Id<Dims> local, Count... count) const {
+    const NdItem<Dims> item(group_, local, local_range_, logical_global_);
     if (auto* ctx = instrument::context()) {
       ctx->item_in_logical_range = item.logical_in_range();
       ctx->guard_queried = false;
     }
-    fn(item);
+    fn(item, count...);
   }
 
   Id<Dims> group_;
@@ -124,19 +169,22 @@ class WorkGroup {
 };
 
 /// One value per work-item of a group, declared in group scope so it
-/// survives from one parallel_for_work_item pass to the next (SYCL's
-/// `private_memory`). Values start value-initialised.
+/// survives from one pass to the next (SYCL's `private_memory`). Values
+/// start value-initialised.
 template <typename T, int Dims>
 class PrivateMemory {
  public:
   explicit PrivateMemory(const WorkGroup<Dims>& group)
       : values_(group.get_local_linear_range()) {}
 
-  T& operator()(const NdItem<Dims>& item) {
+  /// The values of the run of `count` items that starts at `first` (see
+  /// WorkGroup::parallel_for_work_item_runs), in run order: a run is
+  /// consecutive along the last dimension, so its values are contiguous.
+  std::span<T> operator()(const NdItem<Dims>& first, std::size_t count) {
     std::size_t linear = 0;
     for (int d = 0; d < Dims; ++d)
-      linear = linear * item.get_local_range(d) + item.get_local_id(d);
-    return values_[linear];
+      linear = linear * first.get_local_range(d) + first.get_local_id(d);
+    return std::span<T>(values_).subspan(linear, count);
   }
 
  private:

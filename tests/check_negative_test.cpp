@@ -235,9 +235,9 @@ TEST(CheckNegative, DisjointGroupsRunClean) {
 
 // --- kernels with a work-group entry ----------------------------------------
 // The tiled GEMM kernels run as work-group entries: the executor calls them
-// once per group and they make several parallel_for_work_item passes. The
-// replay must still attribute each access to the item and the group that
-// made it.
+// once per group and they make several passes over its items, one run of
+// adjacent items at a time. The replay must still attribute each access to
+// the item, or the run, and the group that made it.
 
 /// Counts its groups, then in each of two passes writes the slot that
 /// `slot(item)` names, consulting in_range() first when `guarded`.
@@ -325,6 +325,65 @@ TEST(CheckNegative, WorkGroupEntryCrossGroupWriteIsARace) {
   EXPECT_EQ(race->index, 0u);
   EXPECT_EQ(race->group_a, 0u);
   EXPECT_EQ(race->group_b, 1u);
+}
+
+/// The runs counterpart of TwoPassKernel: counts its runs, then in each of
+/// two passes every run writes the slots of its items, consulting
+/// in_range() on its first item first when `guarded`.
+struct TwoPassRunKernel {
+  CheckedAccessor<float> out;
+  bool guarded;
+  std::size_t* runs;
+
+  void operator()(const syclrt::WorkGroup<1>& group) const {
+    for (int pass = 0; pass < 2; ++pass) {
+      group.parallel_for_work_item_runs(
+          [&](const syclrt::NdItem<1>& first, std::size_t count) {
+            ++*runs;
+            if (guarded && !first.in_range()) return;
+            for (std::size_t i = 0; i < count; ++i)
+              out[first.get_global_id(0) + i] = static_cast<float>(pass);
+          });
+    }
+  }
+};
+
+TEST(CheckNegative, WorkItemRunMissingTailGuardIsReported) {
+  // Logical range 6 padded to 8: group 1 splits into the run {4, 5} inside
+  // the range and the run {6, 7} outside it, which writes in both passes
+  // without a guard.
+  AccessMonitor monitor("toy_run_tail");
+  CheckedBuffer<float> c("C", 8, monitor);
+  auto queue = replay_queue();
+  std::size_t runs = 0;
+
+  queue.parallel_for(
+      syclrt::NdRange<1>(syclrt::Range<1>(6), syclrt::Range<1>(4)),
+      TwoPassRunKernel{c.write(), false, &runs});
+
+  EXPECT_EQ(runs, 6u);  // three runs per pass
+  EXPECT_EQ(count_kind(monitor, DiagnosticKind::tail_unguarded), 2u);
+  for (const auto& finding : monitor.findings()) {
+    EXPECT_EQ(finding.kind, DiagnosticKind::tail_unguarded);
+    EXPECT_EQ(finding.group_b, 1u);
+    EXPECT_GE(finding.index, 6u);
+  }
+}
+
+TEST(CheckNegative, WorkItemRunGuardedTailRunsClean) {
+  AccessMonitor monitor("toy_run_tail_fixed");
+  CheckedBuffer<float> c("C", 8, monitor);
+  auto queue = replay_queue();
+  std::size_t runs = 0;
+
+  queue.parallel_for(
+      syclrt::NdRange<1>(syclrt::Range<1>(6), syclrt::Range<1>(4)),
+      TwoPassRunKernel{c.write(), true, &runs});
+
+  EXPECT_EQ(runs, 6u);
+  EXPECT_TRUE(monitor.clean());
+  for (std::size_t i = 0; i < 6; ++i) EXPECT_EQ(c.host()[i], 1.0f);
+  for (std::size_t i = 6; i < 8; ++i) EXPECT_EQ(c.host()[i], 0.0f);
 }
 
 // --- invalid configurations (static lint) -----------------------------------

@@ -258,13 +258,20 @@ TEST(Launch, EventCountsMatchGeometry) {
 /// Every config writes exactly the bits of reference_gemm, which sums k in
 /// ascending order in float: all 640 configs through launch_gemm and all
 /// 64 instantiations through launch_batched_gemm, on the pool and under
-/// deterministic replay. Three shapes are ragged in every dimension. Two
-/// have K above the kernels' 256-value K chunk (kKChunk), so a work-group
-/// crosses chunk boundaries on the edge path (1x300x257) and on the
-/// interior path (16x520x24, whole tiles for every config).
+/// deterministic replay. Four shapes are ragged in every dimension. All but
+/// 13x7x11 have K above the kernels' 128-value K chunk (kKChunk), so a
+/// work-group crosses chunk boundaries: in one-row blocks (1x300x257, every
+/// run a row edge), on whole tiles (16x520x24, for every config), and in
+/// 9x263x1100, which is wide enough that every work-group shape gets full
+/// runs and a run cut at the logical edge, with full rows, a row edge, a
+/// last tile crossing N for 8-column tiles, and a K remainder after two
+/// chunks for every AccSize above 1.
 TEST(GemmBitIdentity, EveryConfigMatchesReferenceBits) {
-  const std::vector<GemmShape> shapes = {
-      {67, 131, 37}, {1, 300, 257}, {13, 7, 11}, {16, 520, 24}};
+  const std::vector<GemmShape> shapes = {{67, 131, 37},
+                                         {1, 300, 257},
+                                         {13, 7, 11},
+                                         {16, 520, 24},
+                                         {9, 263, 1100}};
   constexpr std::size_t kBatch = 3;
   syclrt::Queue pooled;
   syclrt::Queue replay;

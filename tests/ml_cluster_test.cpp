@@ -186,7 +186,9 @@ TEST(Hdbscan, ProbabilitiesInUnitIntervalAndZeroForNoise) {
   for (std::size_t i = 0; i < x.rows(); ++i) {
     EXPECT_GE(h.probabilities()[i], 0.0);
     EXPECT_LE(h.probabilities()[i], 1.0);
-    if (h.labels()[i] < 0) EXPECT_DOUBLE_EQ(h.probabilities()[i], 0.0);
+    if (h.labels()[i] < 0) {
+      EXPECT_DOUBLE_EQ(h.probabilities()[i], 0.0);
+    }
   }
 }
 

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <map>
 #include <mutex>
 #include <set>
 #include <span>
@@ -9,6 +11,7 @@
 
 #include "common/error.hpp"
 #include "syclrt/buffer.hpp"
+#include "syclrt/instrument.hpp"
 #include "syclrt/queue.hpp"
 
 namespace aks::syclrt {
@@ -314,6 +317,122 @@ TEST(Queue, WorkGroupEntryRunsOncePerGroupOnPoolAndReplay) {
     EXPECT_EQ(groups_2d.size(), 6u);
     EXPECT_EQ(items_2d, 24u);
     EXPECT_EQ(logical_2d, (Range<2>(5, 3)));
+  }
+}
+
+/// What a group's runs pass saw, against its per-item pass.
+struct RunsTrail {
+  std::vector<std::array<std::size_t, 3>> items;      // per-item pass
+  std::vector<std::array<std::size_t, 3>> run_items;  // runs, item by item
+  std::size_t runs = 0;
+  bool runs_uniform = true;  // each run wholly inside or outside the range
+  bool views_tile = true;    // run views of PrivateMemory are consecutive
+  bool context_fresh = true;  // replay context refreshed for each run
+};
+
+template <int Dims>
+std::array<std::size_t, 3> global_id(const NdItem<Dims>& item) {
+  std::array<std::size_t, 3> id{};
+  for (int d = 0; d < Dims; ++d)
+    id[static_cast<std::size_t>(d)] = item.get_global_id(d);
+  return id;
+}
+
+/// Makes a per-item pass and then a runs pass over each group, and files
+/// what it saw under the group's index.
+template <int Dims>
+struct RunsKernel {
+  std::mutex* mutex;
+  std::map<std::array<std::size_t, 3>, RunsTrail>* trails;
+
+  void operator()(const WorkGroup<Dims>& group) const {
+    RunsTrail trail;
+    group.parallel_for_work_item(
+        [&](const NdItem<Dims>& item) { trail.items.push_back(global_id(item)); });
+    PrivateMemory<int, Dims> memory(group);
+    int* next = nullptr;
+    group.parallel_for_work_item_runs([&](const NdItem<Dims>& first,
+                                          std::size_t count) {
+      ++trail.runs;
+      const std::span<int> view = memory(first, count);
+      if (view.size() != count || (next != nullptr && view.data() != next))
+        trail.views_tile = false;
+      next = view.data() + view.size();
+      const bool inside = first.logical_in_range();
+      if (auto* ctx = instrument::context()) {
+        if (ctx->item_in_logical_range != inside || ctx->guard_queried)
+          trail.context_fresh = false;
+        (void)first.in_range();  // the next run must see the flag reset
+      }
+      Id<Dims> group_id;
+      Id<Dims> local;
+      Range<Dims> local_range;
+      Range<Dims> logical;
+      for (int d = 0; d < Dims; ++d) {
+        group_id[d] = first.get_group(d);
+        local[d] = first.get_local_id(d);
+        local_range[d] = first.get_local_range(d);
+        logical[d] = first.get_global_range(d);
+      }
+      for (std::size_t i = 0; i < count; ++i, ++local[Dims - 1]) {
+        const NdItem<Dims> item(group_id, local, local_range, logical);
+        if (item.logical_in_range() != inside) trail.runs_uniform = false;
+        trail.run_items.push_back(global_id(item));
+      }
+    });
+    std::array<std::size_t, 3> key{};
+    for (int d = 0; d < Dims; ++d)
+      key[static_cast<std::size_t>(d)] = group.get_group(d);
+    std::lock_guard lock(*mutex);
+    (*trails)[key] = std::move(trail);
+  }
+};
+
+template <int Dims>
+void expect_runs_split_at_edge(Queue& queue, NdRange<Dims> range) {
+  std::mutex mutex;
+  std::map<std::array<std::size_t, 3>, RunsTrail> trails;
+  queue.parallel_for(range, RunsKernel<Dims>{&mutex, &trails});
+  const Range<Dims> groups = range.group_count();
+  const Range<Dims> local = range.local();
+  ASSERT_EQ(trails.size(), groups.size());
+  constexpr int kLast = Dims - 1;
+  const std::size_t rows = local.size() / local[kLast];
+  std::set<std::array<std::size_t, 3>> seen;
+  std::size_t visits = 0;
+  for (const auto& [group, trail] : trails) {
+    // The group straddles the logical edge of the last dimension when it
+    // starts inside that range and ends outside it.
+    const std::size_t origin = group[kLast] * local[kLast];
+    const bool straddles = origin < range.global()[kLast] &&
+                           origin + local[kLast] > range.global()[kLast];
+    EXPECT_EQ(trail.runs, rows * (straddles ? 2 : 1));
+    EXPECT_EQ(trail.run_items, trail.items)
+        << "runs visit the items in parallel_for_work_item's order";
+    EXPECT_TRUE(trail.runs_uniform);
+    EXPECT_TRUE(trail.views_tile);
+    EXPECT_TRUE(trail.context_fresh);
+    visits += trail.run_items.size();
+    seen.insert(trail.run_items.begin(), trail.run_items.end());
+  }
+  EXPECT_EQ(visits, range.padded_global().size());
+  EXPECT_EQ(seen.size(), range.padded_global().size())
+      << "every item of the padded range is visited exactly once";
+}
+
+TEST(Queue, WorkItemRunsCoverEachItemOnceAndSplitAtTheLogicalEdge) {
+  for (const bool replay : {false, true}) {
+    SCOPED_TRACE(replay ? "replay" : "pool");
+    Queue queue;
+    queue.set_deterministic_replay(replay);
+    expect_runs_split_at_edge(queue, NdRange<1>(Range<1>(13), Range<1>(8)));
+    expect_runs_split_at_edge(queue,
+                              NdRange<2>(Range<2>(5, 13), Range<2>(2, 8)));
+    expect_runs_split_at_edge(
+        queue, NdRange<3>(Range<3>(3, 5, 13), Range<3>(1, 2, 8)));
+    // A last dimension that divides evenly: one run per row.
+    expect_runs_split_at_edge(queue,
+                              NdRange<2>(Range<2>(5, 16), Range<2>(2, 8)));
   }
 }
 
